@@ -9,10 +9,10 @@ import numpy as np
 from . import preshape, transport
 from .errors import (
     InsufficientData,
-    IoFailure,
     ReferenceInconsistent,
     SamplingFailed,
     ShapeSpaceError,
+    io_failure,
 )
 
 RNG_NAME = "numpy-pcg64"
@@ -35,8 +35,9 @@ class ExperimentConfig:
     trials: int = 10
 
     def __post_init__(self):
-        if self.m < 2 or self.k < 3:
-            raise ValueError("need m >= 2 and k >= 3")
+        # A centred configuration has rank <= k-1, and it must reach m-1.
+        if self.m < 2 or self.k < max(3, self.m):
+            raise ValueError("need m >= 2 and k >= max(3, m)")
         steps = tuple(self.step_counts)
         if list(steps) != sorted(set(steps)) or steps[0] < 1:
             raise ValueError("step counts must be strictly increasing positives")
@@ -45,6 +46,8 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(transport.METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if self.alpha < 1.0:
+            raise ValueError("alpha must be >= 1")
         if self.trials < 1:
             raise ValueError("need at least one trial")
 
@@ -178,30 +181,23 @@ def write_csv(records, path) -> None:
     for r in records:
         err = "nan" if r.failed else f"{r.error:.16e}"
         lines.append(f"{r.method},{r.n},{r.trial},{err},{r.m},{r.k},{r.seed}")
-    try:
-        with open(path, "w", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
-    except OSError as err:
-        raise IoFailure(f"{path}: {err}") from err
+    with io_failure(path), open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> list:
     """Parse a benchmark CSV written by write_csv."""
-    try:
-        with open(path) as handle:
-            lines = [ln.strip() for ln in handle if ln.strip()]
-    except OSError as err:
-        raise IoFailure(f"{path}: {err}") from err
     records = []
-    for line in lines:
-        if line.startswith("#") or line.startswith("method,"):
-            continue
-        method, n, trial, error, m, k, seed = line.split(",")
-        error = float(error)
-        records.append(ConvergenceRecord(
-            method=method, n=int(n), trial=int(trial), error=error,
-            m=int(m), k=int(k), seed=int(seed),
-            failed=not math.isfinite(error)))
+    with io_failure(path), open(path) as handle:
+        for line in (ln.strip() for ln in handle):
+            if not line or line.startswith("#") or line.startswith("method,"):
+                continue
+            method, n, trial, error, m, k, seed = line.split(",")
+            error = float(error)
+            records.append(ConvergenceRecord(
+                method=method, n=int(n), trial=int(trial), error=error,
+                m=int(m), k=int(k), seed=int(seed),
+                failed=not math.isfinite(error)))
     return records
 
 
@@ -295,8 +291,5 @@ def write_svg_loglog(records, path) -> None:
                  f'transform="rotate(-90 18 {(top + height - bottom) / 2:.2f})">'
                  f'error</text>')
     parts.append("</svg>")
-    try:
-        with open(path, "w", newline="\n") as handle:
-            handle.write("\n".join(parts) + "\n")
-    except OSError as err:
-        raise IoFailure(f"{path}: {err}") from err
+    with io_failure(path), open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(parts) + "\n")

@@ -1,6 +1,9 @@
 """Command-line driver: `bench run`, `bench order` and `bench transport`.
 
-Exit codes: 0 on success, 2 on validation failure, 3 on numerical failure.
+Exit codes, all mapped in `_Bench.invoke`: 0 on success; 2 on a bad
+argument (ValueError) or an unreadable, unwritable, malformed or
+non-finite file (IoFailure); 3 on any other ShapeSpaceError, i.e. a
+numerical failure.
 """
 
 import sys
@@ -9,7 +12,7 @@ import click
 import numpy as np
 
 from . import bench, preshape, quotient, transport
-from .errors import ShapeSpaceError
+from .errors import IoFailure, ShapeSpaceError, io_failure
 
 
 def _parse_int_list(_ctx, _param, value):
@@ -20,14 +23,23 @@ def _parse_int_list(_ctx, _param, value):
 
 
 def _parse_methods(_ctx, _param, value):
-    methods = tuple(part.strip() for part in value.split(","))
-    unknown = set(methods) - set(transport.METHODS)
-    if unknown:
-        raise click.BadParameter(f"unknown methods: {sorted(unknown)}")
-    return methods
+    return tuple(part.strip() for part in value.split(","))
 
 
-@click.group()
+class _Bench(click.Group):
+    """The one place where library failures become exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, IoFailure) as err:
+            raise click.UsageError(str(err)) from err
+        except ShapeSpaceError as err:
+            click.echo(f"numerical failure: {err}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Bench)
 def main():
     """Parallel-transport benchmark on Kendall shape spaces."""
 
@@ -47,24 +59,17 @@ def main():
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False), default=None)
 def run(m, k, steps, n_ref, methods, alpha, trials, seed, csv_path, svg_path):
     """Run the convergence sweep and write CSV/SVG outputs."""
-    try:
-        cfg = bench.ExperimentConfig(
-            m=m, k=k, step_counts=steps, methods=methods, n_ref=n_ref,
-            alpha=alpha, seed=seed, trials=trials)
-    except ValueError as err:
-        raise click.UsageError(str(err))
-    try:
-        records = bench.run_convergence(cfg)
-        if csv_path:
-            bench.write_csv(records, csv_path)
-        if svg_path:
-            bench.write_svg_loglog(records, svg_path)
-        for method in methods:
-            slope, residual = bench.estimate_order(records, method)
-            click.echo(f"{method}: slope {slope:+.3f} (fit rms {residual:.3f})")
-    except ShapeSpaceError as err:
-        click.echo(f"numerical failure: {err}", err=True)
-        sys.exit(3)
+    cfg = bench.ExperimentConfig(
+        m=m, k=k, step_counts=steps, methods=methods, n_ref=n_ref,
+        alpha=alpha, seed=seed, trials=trials)
+    records = bench.run_convergence(cfg)
+    if csv_path:
+        bench.write_csv(records, csv_path)
+    if svg_path:
+        bench.write_svg_loglog(records, svg_path)
+    for method in methods:
+        slope, residual = bench.estimate_order(records, method)
+        click.echo(f"{method}: slope {slope:+.3f} (fit rms {residual:.3f})")
 
 
 @main.command()
@@ -72,16 +77,11 @@ def run(m, k, steps, n_ref, methods, alpha, trials, seed, csv_path, svg_path):
               required=True)
 def order(csv_path):
     """Print per-method convergence slopes from a benchmark CSV."""
-    try:
-        records = bench.read_csv(csv_path)
-        methods = sorted({r.method for r in records},
-                         key=transport.METHODS.index)
-        for method in methods:
-            slope, residual = bench.estimate_order(records, method)
-            click.echo(f"{method}: slope {slope:+.3f} (fit rms {residual:.3f})")
-    except (ShapeSpaceError, ValueError) as err:
-        click.echo(f"numerical failure: {err}", err=True)
-        sys.exit(3)
+    records = bench.read_csv(csv_path)
+    methods = sorted({r.method for r in records}, key=transport.METHODS.index)
+    for method in methods:
+        slope, residual = bench.estimate_order(records, method)
+        click.echo(f"{method}: slope {slope:+.3f} (fit rms {residual:.3f})")
 
 
 @main.command(name="transport")
@@ -103,33 +103,23 @@ def order(csv_path):
 def transport_cmd(input_path, target_path, vector_path, method, n, alpha,
                   output_path):
     """Transport a vector along the geodesic between two configurations."""
-    if n < 1:
-        raise click.UsageError("--steps must be >= 1")
-    try:
-        x_raw = preshape.read_landmarks(input_path)
-        y_raw = preshape.read_landmarks(target_path)
-        vec_raw = preshape.read_landmarks(vector_path)
-    except ShapeSpaceError as err:
-        raise click.UsageError(str(err))
+    x_raw = preshape.read_landmarks(input_path)
+    y_raw = preshape.read_landmarks(target_path)
+    vec_raw = preshape.read_landmarks(vector_path)
     if x_raw.shape != y_raw.shape or x_raw.shape != vec_raw.shape:
-        raise click.UsageError(
+        raise ValueError(
             f"shape mismatch: {x_raw.shape} vs {y_raw.shape} vs {vec_raw.shape}")
-    try:
-        x = quotient.check_representative(
-            preshape.project_to_preshape(x_raw))
-        y = preshape.project_to_preshape(y_raw)
-        w = quotient.quotient_log(x, y)
-        v = preshape.horizontal_projection(x, preshape.to_tangent(x, vec_raw))
-        problem = transport.TransportProblem(x=x, w=w, v=v, n=n)
-        result = transport.transport(problem, method, alpha=alpha)
-    except ShapeSpaceError as err:
-        click.echo(f"numerical failure: {err}", err=True)
-        sys.exit(3)
+    x = quotient.check_representative(preshape.project_to_preshape(x_raw))
+    y = preshape.project_to_preshape(y_raw)
+    w = quotient.quotient_log(x, y)
+    v = preshape.horizontal_projection(x, preshape.to_tangent(x, vec_raw))
+    problem = transport.TransportProblem(x=x, w=w, v=v, n=n)
+    result = transport.transport(problem, method, alpha=alpha)
     rows = [",".join(f"{value:.16e}" for value in row)
             for row in result.transported.T]
     text = "\n".join(rows) + "\n"
     if output_path:
-        with open(output_path, "w", newline="\n") as handle:
+        with io_failure(output_path), open(output_path, "w", newline="\n") as handle:
             handle.write(text)
     else:
         click.echo(text, nl=False)

@@ -1,5 +1,7 @@
 """Exception hierarchy for the shape-space geometry and benchmark code."""
 
+from contextlib import contextmanager
+
 
 class ShapeSpaceError(Exception):
     """Base class for all numerical/geometric failures in this package."""
@@ -35,3 +37,13 @@ class ReferenceInconsistent(ShapeSpaceError):
 
 class IoFailure(ShapeSpaceError):
     """File input/output failed; message carries the offending path."""
+
+
+@contextmanager
+def io_failure(path):
+    """Re-raise an OSError or a parse ValueError inside the block as an
+    IoFailure that names ``path``."""
+    try:
+        yield
+    except (OSError, ValueError) as err:
+        raise IoFailure(f"{path}: {err}") from err

@@ -40,8 +40,7 @@ def solve_sylvester_skew(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     ``x`` is an m-by-k pre-shape of rank >= m-1, ``w`` any m-by-k matrix.
     """
-    rhs = w @ x.T - x @ w.T
-    return solve_skew_sylvester(x @ x.T, 0.5 * (rhs - rhs.T))
+    return solve_skew_sylvester(x @ x.T, w @ x.T - x @ w.T)
 
 
 def optimal_rotation(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ landmarks in R^m.
 
 import numpy as np
 
-from .errors import AntipodalPoints, DegenerateConfiguration, IoFailure
+from .errors import AntipodalPoints, DegenerateConfiguration, io_failure
 from .linalg import RANK_RTOL, optimal_rotation, solve_sylvester_skew
 
 # Below this norm the exponential falls back to its first-order limit.
@@ -117,9 +117,9 @@ def align(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def read_landmarks(path) -> np.ndarray:
     """Load a landmark CSV (one row per landmark, m columns, no header)
-    and return the m-by-k matrix."""
-    try:
+    and return the m-by-k matrix. Non-finite values are rejected."""
+    with io_failure(path):
         rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as err:
-        raise IoFailure(f"{path}: {err}") from err
+        if not np.isfinite(rows).all():
+            raise ValueError("non-finite value")
     return rows.T

@@ -18,7 +18,9 @@ def check_representative(x: np.ndarray) -> np.ndarray:
     Requires centered columns, unit Frobenius norm and rank >= m-1.
     """
     x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x.sum(axis=1)) > 1e-10 or abs(np.linalg.norm(x) - 1.0) > 1e-10:
+    # Written as not (... <= ...) so that NaN fails the check too.
+    if not (np.linalg.norm(x.sum(axis=1)) <= 1e-10
+            and abs(np.linalg.norm(x) - 1.0) <= 1e-10):
         raise ValueError("representative is not a centered unit-norm pre-shape")
     if preshape.configuration_rank(x) < x.shape[0] - 1:
         raise RankDeficient("representative lies on a singular stratum")

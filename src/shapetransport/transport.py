@@ -60,8 +60,7 @@ def transport_ode_rhs(gamma: np.ndarray, gamma_dot: np.ndarray,
     """Right-hand side of the transport ODE,
     v' = -Tr(gamma' v^T) gamma + A gamma, with skew A solving
     A (gamma gamma^T) + (gamma gamma^T) A = gamma' v^T - v gamma'^T."""
-    rhs_skew = gamma_dot @ v.T - v @ gamma_dot.T
-    a = solve_skew_sylvester(gamma @ gamma.T, 0.5 * (rhs_skew - rhs_skew.T))
+    a = solve_skew_sylvester(gamma @ gamma.T, gamma_dot @ v.T - v @ gamma_dot.T)
     return -float(np.sum(gamma_dot * v)) * gamma + a @ gamma
 
 

@@ -48,6 +48,8 @@ class TestConfigValidation:
         dict(step_counts=(10, 2000)),
         dict(methods=("euler", "rk9")),
         dict(trials=0),
+        dict(alpha=0.5),
+        dict(m=4, k=3),
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -41,6 +41,8 @@ class TestRun:
         ["run", "--steps", "abc"],
         ["run", "--methods", "euler,rk9"],
         ["run", "--steps", "10,20", "--ref-steps", "15"],
+        ["run", "--alpha", "0.5"],
+        ["run", "--m", "4", "--k", "3"],
     ])
     def test_validation_failures_exit_2(self, runner, bad):
         result = runner.invoke(main, bad)
@@ -60,6 +62,21 @@ class TestOrder:
         result = runner.invoke(main, ["order", "--csv",
                                       str(tmp_path / "nope.csv")])
         assert result.exit_code == 2
+
+    def test_malformed_csv_exits_2(self, runner, tmp_path):
+        csv = tmp_path / "bad.csv"
+        csv.write_text("method,n,trial,error,m,k,seed\nrk4,10,0\n")
+        result = runner.invoke(main, ["order", "--csv", str(csv)])
+        assert result.exit_code == 2
+        assert "Error: " in result.output and str(csv) in result.output
+
+    def test_too_few_records_exits_3(self, runner, tmp_path):
+        csv = tmp_path / "short.csv"
+        csv.write_text("method,n,trial,error,m,k,seed\n"
+                       "rk4,10,0,1e-3,3,4,0\nrk4,20,0,1e-4,3,4,0\n")
+        result = runner.invoke(main, ["order", "--csv", str(csv)])
+        assert result.exit_code == 3
+        assert "numerical failure" in result.output
 
 
 class TestTransportCommand:
@@ -114,3 +131,29 @@ class TestTransportCommand:
             "transport", "--input", str(bad), "--target", paths["target"],
             "--vector", paths["vector"]])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("case", [
+        "nan-input", "nan-vector", "non-numeric", "unwritable-output",
+        "zero-steps"])
+    def test_bad_input_exits_2(self, runner, tmp_path, rng, case):
+        _, _, _, paths = self.write_inputs(tmp_path, rng)
+        extra = []
+        if case in ("nan-input", "nan-vector"):
+            path = paths[case.split("-")[1]]
+            rows = np.loadtxt(path, delimiter=",")
+            rows[1, 2] = np.nan
+            np.savetxt(path, rows, delimiter=",")
+        elif case == "non-numeric":
+            with open(paths["vector"], "w") as handle:
+                handle.write("1,2,3\n4,five,6\n7,8,9\n1,0,0\n")
+        elif case == "unwritable-output":
+            extra = ["--output", str(tmp_path / "no-dir" / "out.csv")]
+        else:
+            extra = ["--steps", "0"]
+        result = runner.invoke(main, [
+            "transport", "--input", paths["input"], "--target",
+            paths["target"], "--vector", paths["vector"]] + extra)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: ")
+        assert len(result.output.strip().splitlines()) == 1

@@ -25,6 +25,8 @@ class TestRepresentative:
     def test_non_preshape_rejected(self, rng):
         with pytest.raises(ValueError):
             quotient.check_representative(rng.standard_normal((3, 4)))
+        with pytest.raises(ValueError, match="pre-shape"):
+            quotient.check_representative(np.full((3, 4), np.nan))
 
 
 class TestQuotientExp:

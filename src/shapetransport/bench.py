@@ -2,7 +2,7 @@
 estimation, CSV persistence and a log-log SVG plot."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(transport.METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError("methods must not repeat")
         if self.alpha < 1.0:
             raise ValueError("alpha must be >= 1")
         if self.trials < 1:
@@ -71,12 +73,11 @@ def sample_problem(m: int, k: int, rng: np.random.Generator,
     for _ in range(100):
         try:
             x = preshape.project_to_preshape(rng.standard_normal((m, k)))
+            # raises RankDeficient exactly when configuration_rank(x) < m-1
+            w = preshape.horizontal_projection(
+                x, preshape.to_tangent(x, rng.standard_normal((m, k))))
         except ShapeSpaceError:
             continue
-        if preshape.configuration_rank(x) < m - 1:
-            continue
-        w = preshape.horizontal_projection(
-            x, preshape.to_tangent(x, rng.standard_normal((m, k))))
         v = preshape.horizontal_projection(
             x, preshape.to_tangent(x, rng.standard_normal((m, k))))
         w_norm = np.linalg.norm(w)
@@ -94,16 +95,13 @@ def sample_problem(m: int, k: int, rng: np.random.Generator,
 
 def _reference(problem: transport.TransportProblem, n_ref: int) -> np.ndarray:
     """RK4 reference transport, cross-checked at twice the resolution."""
-    ref = transport.transport_integrated(
-        transport.TransportProblem(problem.x, problem.w, problem.v, n_ref),
-        scheme="rk4").transported
-    check = transport.transport_integrated(
-        transport.TransportProblem(problem.x, problem.w, problem.v, 2 * n_ref),
-        scheme="rk4").transported
+    ref, check = (transport.transport_integrated(replace(problem, n=n), "rk4")
+                  .transported for n in (n_ref, 2 * n_ref))
     drift = float(np.linalg.norm(ref - check))
     if drift >= 1e-10:
         raise ReferenceInconsistent(
-            f"RK4 references at n={n_ref} and n={2 * n_ref} differ by {drift:.3e}")
+            f"RK4 references at n={n_ref} and n={2 * n_ref} differ by "
+            f"{drift:.3e}, not below the 1e-10 tolerance: n_ref is too coarse")
     return ref
 
 
@@ -118,10 +116,9 @@ def run_convergence(cfg: ExperimentConfig) -> list:
         ref = _reference(problem, cfg.n_ref)
         for method in cfg.methods:
             for n in cfg.step_counts:
-                sub = transport.TransportProblem(
-                    problem.x, problem.w, problem.v, n)
                 try:
-                    result = transport.transport(sub, method, alpha=cfg.alpha)
+                    result = transport.transport(
+                        replace(problem, n=n), method, alpha=cfg.alpha)
                     error = float(np.linalg.norm(result.transported - ref))
                     failed = not math.isfinite(error)
                 except ShapeSpaceError:
@@ -193,6 +190,8 @@ def read_csv(path) -> list:
             if not line or line.startswith("#") or line.startswith("method,"):
                 continue
             method, n, trial, error, m, k, seed = line.split(",")
+            if method not in transport.METHODS:
+                raise ValueError(f"unknown method {method!r}")
             error = float(error)
             records.append(ConvergenceRecord(
                 method=method, n=int(n), trial=int(trial), error=error,
@@ -201,12 +200,8 @@ def read_csv(path) -> list:
     return records
 
 
-_SVG_COLORS = {
-    "euler": "#1f77b4",
-    "rk2": "#ff7f0e",
-    "rk4": "#2ca02c",
-    "pole": "#d62728",
-}
+_SVG_COLORS = dict(zip(
+    transport.METHODS, ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728"), strict=True))
 
 
 def _median_curve(records, method):

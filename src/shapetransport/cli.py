@@ -47,11 +47,11 @@ def main():
 @main.command()
 @click.option("--m", "m", type=int, default=3, show_default=True)
 @click.option("--k", "k", type=int, default=4, show_default=True)
-@click.option("--steps", callback=_parse_int_list,
-              default="10,20,50,100,200,500,1000", show_default=True)
+@click.option("--steps", callback=_parse_int_list, show_default=True,
+              default=",".join(map(str, bench.DEFAULT_STEPS)))
 @click.option("--ref-steps", "n_ref", type=int, default=1100, show_default=True)
 @click.option("--methods", callback=_parse_methods,
-              default="euler,rk2,rk4,pole", show_default=True)
+              default=",".join(transport.METHODS), show_default=True)
 @click.option("--alpha", type=float, default=2.0, show_default=True)
 @click.option("--trials", type=int, default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)

@@ -12,6 +12,14 @@ from .errors import AmbiguousAlignment, RankDeficient
 RANK_RTOL = 1e-9
 
 
+def eigenvalue_rank(lam: np.ndarray) -> int:
+    """Numerical rank of a positive semi-definite matrix from its ascending
+    eigenvalues: the count not below RANK_RTOL times the largest."""
+    if lam[-1] <= 0.0:
+        return 0
+    return len(lam) - int(np.sum(lam < RANK_RTOL * lam[-1]))
+
+
 def solve_skew_sylvester(sym: np.ndarray, rhs_skew: np.ndarray) -> np.ndarray:
     """Solve A @ S + S @ A = B for skew-symmetric A.
 
@@ -21,8 +29,7 @@ def solve_skew_sylvester(sym: np.ndarray, rhs_skew: np.ndarray) -> np.ndarray:
     entries B~_ij / (lam_i + lam_j) off the diagonal and zeros on it.
     """
     lam, u = np.linalg.eigh(sym)
-    lam_max = lam[-1]
-    if lam_max <= 0.0 or np.sum(lam < RANK_RTOL * lam_max) >= 2:
+    if lam[-1] <= 0.0 or eigenvalue_rank(lam) < len(lam) - 1:
         raise RankDeficient(
             "two or more eigenvalues below tolerance; rank < m-1"
         )

@@ -9,7 +9,7 @@ landmarks in R^m.
 import numpy as np
 
 from .errors import AntipodalPoints, DegenerateConfiguration, io_failure
-from .linalg import RANK_RTOL, optimal_rotation, solve_sylvester_skew
+from .linalg import eigenvalue_rank, optimal_rotation, solve_sylvester_skew
 
 # Below this norm the exponential falls back to its first-order limit.
 _SMALL_ANGLE = 1e-9
@@ -41,11 +41,9 @@ def project_to_preshape(points: np.ndarray) -> np.ndarray:
 
 
 def configuration_rank(x: np.ndarray) -> int:
-    """Numerical rank with the package-wide relative tolerance."""
-    s = np.linalg.svd(x, compute_uv=False)
-    if s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    """Numerical rank of xx^T under the Sylvester solver's own test, on the
+    same eigh call, so that the solver accepts every x of rank >= m-1."""
+    return eigenvalue_rank(np.linalg.eigh(x @ x.T)[0])
 
 
 def to_tangent(x: np.ndarray, raw: np.ndarray) -> np.ndarray:

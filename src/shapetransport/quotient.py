@@ -15,9 +15,11 @@ from .errors import RankDeficient
 def check_representative(x: np.ndarray) -> np.ndarray:
     """Validate a pre-shape as a usable shape representative.
 
-    Requires centered columns, unit Frobenius norm and rank >= m-1.
+    Requires m >= 2, centered columns, unit Frobenius norm and rank >= m-1.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape[0] < 2:
+        raise ValueError("landmarks need at least 2 coordinates (m >= 2)")
     # Written as not (... <= ...) so that NaN fails the check too.
     if not (np.linalg.norm(x.sum(axis=1)) <= 1e-10
             and abs(np.linalg.norm(x) - 1.0) <= 1e-10):

@@ -12,7 +12,16 @@ import numpy as np
 from . import preshape, quotient
 from .linalg import solve_skew_sylvester
 
-METHODS = ("euler", "rk2", "rk4", "pole")
+# Explicit schemes as (c, b, d), nodes, weights and divisor. Each stage
+# reads only the one before it: stage j evaluates the ODE at s + c_j delta
+# on v + c_j delta k_{j-1}, and a step adds delta / d * sum_j b_j k_j.
+# RK4 keeps the classical (k1 + 2 k2 + 2 k3 + k4) / 6 form.
+SCHEMES = {
+    "euler": ((0.0,), (1.0,), 1.0),
+    "rk2": ((0.0, 0.5), (0.0, 1.0), 1.0),
+    "rk4": ((0.0, 0.5, 0.5, 1.0), (1.0, 2.0, 2.0, 1.0), 6.0),
+}
+METHODS = (*SCHEMES, "pole")
 
 
 @dataclass(frozen=True)
@@ -34,8 +43,6 @@ class TransportProblem:
 class TransportResult:
     endpoint: np.ndarray
     transported: np.ndarray
-    method: str
-    n: int
 
 
 def geodesic_state(x: np.ndarray, w: np.ndarray, s: float):
@@ -72,38 +79,28 @@ def transport_integrated(problem: TransportProblem,
     after every step; the RK schemes integrate the raw ODE with states
     evaluated on the exact geodesic and project once at the end.
     """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    nodes, weights, divisor = SCHEMES[scheme]
     x, w, v, n = problem.x, problem.w, problem.v, problem.n
     delta = 1.0 / n
-
-    def f(s, vv):
-        gamma, gamma_dot = geodesic_state(x, w, s)
-        return transport_ode_rhs(gamma, gamma_dot, vv)
-
-    if scheme == "euler":
-        for i in range(n):
-            v = v + delta * f(i * delta, v)
+    for i in range(n):
+        s = i * delta
+        k = step = None
+        for c, b in zip(nodes, weights):
+            gamma, gamma_dot = geodesic_state(x, w, s + c * delta)
+            k = transport_ode_rhs(
+                gamma, gamma_dot, v if k is None else v + c * delta * k)
+            step = b * k if step is None else step + b * k
+        v = v + (delta / divisor) * step
+        if scheme == "euler":
             gamma_next, _ = geodesic_state(x, w, (i + 1) * delta)
             v = preshape.to_tangent(gamma_next, v)
             v = preshape.horizontal_projection(gamma_next, v)
-    elif scheme == "rk2":
-        for i in range(n):
-            s = i * delta
-            k1 = f(s, v)
-            v = v + delta * f(s + 0.5 * delta, v + 0.5 * delta * k1)
-    elif scheme == "rk4":
-        for i in range(n):
-            s = i * delta
-            k1 = f(s, v)
-            k2 = f(s + 0.5 * delta, v + 0.5 * delta * k1)
-            k3 = f(s + 0.5 * delta, v + 0.5 * delta * k2)
-            k4 = f(s + delta, v + delta * k3)
-            v = v + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
 
     endpoint = preshape.exp(x, w)
     v = preshape.horizontal_projection(endpoint, preshape.to_tangent(endpoint, v))
-    return TransportResult(endpoint=endpoint, transported=v, method=scheme, n=n)
+    return TransportResult(endpoint=endpoint, transported=v)
 
 
 def pole_ladder(problem: TransportProblem, alpha: float = 2.0) -> TransportResult:
@@ -127,8 +124,7 @@ def pole_ladder(problem: TransportProblem, alpha: float = 2.0) -> TransportResul
         diag = quotient.quotient_log(mid, x_v)
         x_v = preshape.exp(mid, -diag)
     transported = scale * (-1.0) ** n * quotient.quotient_log(endpoint, x_v)
-    return TransportResult(endpoint=endpoint, transported=transported,
-                           method="pole", n=n)
+    return TransportResult(endpoint=endpoint, transported=transported)
 
 
 def transport(problem: TransportProblem, method: str,

@@ -50,6 +50,7 @@ class TestConfigValidation:
         dict(trials=0),
         dict(alpha=0.5),
         dict(m=4, k=3),
+        dict(methods=("euler", "euler")),
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

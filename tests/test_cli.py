@@ -70,6 +70,14 @@ class TestOrder:
         assert result.exit_code == 2
         assert "Error: " in result.output and str(csv) in result.output
 
+    def test_unknown_method_exits_2(self, runner, tmp_path):
+        csv = tmp_path / "rk9.csv"
+        csv.write_text("method,n,trial,error,m,k,seed\nrk9,10,0,1e-3,3,4,0\n")
+        result = runner.invoke(main, ["order", "--csv", str(csv)])
+        assert result.exit_code == 2
+        assert "Error: " in result.output and str(csv) in result.output
+        assert "rk9" in result.output
+
     def test_too_few_records_exits_3(self, runner, tmp_path):
         csv = tmp_path / "short.csv"
         csv.write_text("method,n,trial,error,m,k,seed\n"
@@ -134,7 +142,7 @@ class TestTransportCommand:
 
     @pytest.mark.parametrize("case", [
         "nan-input", "nan-vector", "non-numeric", "unwritable-output",
-        "zero-steps"])
+        "zero-steps", "one-column"])
     def test_bad_input_exits_2(self, runner, tmp_path, rng, case):
         _, _, _, paths = self.write_inputs(tmp_path, rng)
         extra = []
@@ -148,6 +156,10 @@ class TestTransportCommand:
                 handle.write("1,2,3\n4,five,6\n7,8,9\n1,0,0\n")
         elif case == "unwritable-output":
             extra = ["--output", str(tmp_path / "no-dir" / "out.csv")]
+        elif case == "one-column":
+            # landmarks on a line (m=1): there is no rotation group to factor
+            for path in paths.values():
+                np.savetxt(path, rng.standard_normal((3, 1)), delimiter=",")
         else:
             extra = ["--steps", "0"]
         result = runner.invoke(main, [

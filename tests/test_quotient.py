@@ -22,6 +22,18 @@ class TestRepresentative:
         with pytest.raises(RankDeficient):
             quotient.check_representative(rank_one_preshape())
 
+    def test_solver_rank_test_applies(self):
+        # singular values (1, 1e-6, 0): rank 2 by a singular-value test, but
+        # xx^T has eigenvalues (1, 1e-12, 0), which the Sylvester solver
+        # reads as rank 1, so the representative must be rejected here
+        rows = np.linalg.qr(np.array([[1.0, -1.0, 0.0, 0.0],
+                                      [1.0, 1.0, -2.0, 0.0]]).T)[0].T
+        x = np.zeros((3, 4))
+        x[:2] = np.array([[1.0], [1e-6]]) * rows
+        x /= np.linalg.norm(x)
+        with pytest.raises(RankDeficient):
+            quotient.check_representative(x)
+
     def test_non_preshape_rejected(self, rng):
         with pytest.raises(ValueError):
             quotient.check_representative(rng.standard_normal((3, 4)))

@@ -99,6 +99,36 @@ class TestIntegratedSchemes:
         result = transport.transport_integrated(problem, scheme)
         assert np.linalg.norm(result.transported) < 1e-14
 
+    @pytest.mark.parametrize("scheme", ["euler", "rk2", "rk4"])
+    def test_one_step_is_the_textbook_step(self, scheme):
+        # pins each tableau exactly: RK2 is the explicit midpoint rule, not
+        # Heun, even though both are second order
+        problem = make_problem(15, n=1)
+        x, w, v = problem.x, problem.w, problem.v
+
+        def f(s, vv):
+            gamma, gamma_dot = transport.geodesic_state(x, w, s)
+            return transport.transport_ode_rhs(gamma, gamma_dot, vv)
+
+        k1 = f(0.0, v)
+        if scheme == "euler":
+            gamma, _ = transport.geodesic_state(x, w, 1.0)
+            v1 = preshape.horizontal_projection(
+                gamma, preshape.to_tangent(gamma, v + k1))
+        elif scheme == "rk2":
+            v1 = v + f(0.5, v + 0.5 * k1)
+        else:
+            k2 = f(0.5, v + 0.5 * k1)
+            k3 = f(0.5, v + 0.5 * k2)
+            k4 = f(1.0, v + k3)
+            v1 = v + 1 / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        endpoint = preshape.exp(x, w)
+        expected = preshape.horizontal_projection(
+            endpoint, preshape.to_tangent(endpoint, v1))
+        result = transport.transport_integrated(problem, scheme)
+        assert np.array_equal(result.endpoint, endpoint)
+        assert np.array_equal(result.transported, expected)
+
     def test_euler_error_halves_with_doubled_steps(self):
         ratios = []
         for seed in range(10):

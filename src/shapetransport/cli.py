@@ -2,8 +2,8 @@
 
 Exit codes, all mapped in `_Bench.invoke`: 0 on success; 2 on a bad
 argument (ValueError) or an unreadable, unwritable, malformed or
-non-finite file (IoFailure); 3 on any other ShapeSpaceError, i.e. a
-numerical failure.
+non-finite file (IoFailure); 3 on any other ShapeSpaceError or a numpy
+LinAlgError, i.e. a numerical failure.
 """
 
 import sys
@@ -32,11 +32,14 @@ class _Bench(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except np.linalg.LinAlgError as err:  # a ValueError, but numerical
+            failure = err
         except (ValueError, IoFailure) as err:
             raise click.UsageError(str(err)) from err
         except ShapeSpaceError as err:
-            click.echo(f"numerical failure: {err}", err=True)
-            sys.exit(3)
+            failure = err
+        click.echo(f"numerical failure: {failure}", err=True)
+        sys.exit(3)
 
 
 @click.group(cls=_Bench)
@@ -44,17 +47,21 @@ def main():
     """Parallel-transport benchmark on Kendall shape spaces."""
 
 
+_DEFAULTS = bench.ExperimentConfig()
+
+
 @main.command()
-@click.option("--m", "m", type=int, default=3, show_default=True)
-@click.option("--k", "k", type=int, default=4, show_default=True)
+@click.option("--m", "m", type=int, default=_DEFAULTS.m, show_default=True)
+@click.option("--k", "k", type=int, default=_DEFAULTS.k, show_default=True)
 @click.option("--steps", callback=_parse_int_list, show_default=True,
-              default=",".join(map(str, bench.DEFAULT_STEPS)))
-@click.option("--ref-steps", "n_ref", type=int, default=1100, show_default=True)
+              default=",".join(map(str, _DEFAULTS.step_counts)))
+@click.option("--ref-steps", "n_ref", type=int, default=_DEFAULTS.n_ref,
+              show_default=True)
 @click.option("--methods", callback=_parse_methods,
-              default=",".join(transport.METHODS), show_default=True)
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--trials", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+              default=",".join(_DEFAULTS.methods), show_default=True)
+@click.option("--alpha", type=float, default=_DEFAULTS.alpha, show_default=True)
+@click.option("--trials", type=int, default=_DEFAULTS.trials, show_default=True)
+@click.option("--seed", type=int, default=_DEFAULTS.seed, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False), default=None)
 def run(m, k, steps, n_ref, methods, alpha, trials, seed, csv_path, svg_path):

@@ -17,14 +17,22 @@ def eigenvalue_rank(lam: np.ndarray) -> int:
     eigenvalues: the count not below RANK_RTOL times the largest."""
     if lam[-1] <= 0.0:
         return 0
-    return len(lam) - int(np.sum(lam < RANK_RTOL * lam[-1]))
+    return len(lam) - np.count_nonzero(lam < RANK_RTOL * lam[-1])
+
+
+def right_multiply(stack: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """stack @ mat for a stack (..., p, q) of matrices and one q-by-r matrix,
+    computed as a single 2-D product over all rows of the stack."""
+    rows = stack.reshape(-1, stack.shape[-1]) @ mat
+    return rows.reshape(*stack.shape[:-1], mat.shape[-1])
 
 
 def solve_skew_sylvester(sym: np.ndarray, rhs_skew: np.ndarray) -> np.ndarray:
     """Solve A @ S + S @ A = B for skew-symmetric A.
 
     S = ``sym`` must be symmetric positive semi-definite with at most one
-    (near-)zero eigenvalue, B = ``rhs_skew`` skew-symmetric. Solved in the
+    (near-)zero eigenvalue, B = ``rhs_skew`` skew-symmetric, or a stack
+    (..., m, m) of such right-hand sides that share S. Solved in the
     eigenbasis of S: with S = U diag(lam) U^T, the transformed solution has
     entries B~_ij / (lam_i + lam_j) off the diagonal and zeros on it.
     """
@@ -33,21 +41,21 @@ def solve_skew_sylvester(sym: np.ndarray, rhs_skew: np.ndarray) -> np.ndarray:
         raise RankDeficient(
             "two or more eigenvalues below tolerance; rank < m-1"
         )
-    bt = u.T @ rhs_skew @ u
     denom = lam[:, None] + lam[None, :]
-    np.fill_diagonal(denom, 1.0)  # diagonal of the solution is forced to 0
-    at = bt / denom
-    np.fill_diagonal(at, 0.0)
-    a = u @ at @ u.T
-    return 0.5 * (a - a.T)
+    np.fill_diagonal(denom, np.inf)  # diagonal of the solution is forced to 0
+    bt = right_multiply(u.T @ rhs_skew, u)
+    a = right_multiply(u @ (bt / denom), u.T)
+    return 0.5 * (a - a.swapaxes(-1, -2))
 
 
 def solve_sylvester_skew(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Skew-symmetric A with A(xx^T) + (xx^T)A = wx^T - xw^T.
 
-    ``x`` is an m-by-k pre-shape of rank >= m-1, ``w`` any m-by-k matrix.
+    ``x`` is an m-by-k pre-shape of rank >= m-1, ``w`` any m-by-k matrix or
+    a stack (..., m, k) of them; the result has the shape of the stack.
     """
-    return solve_skew_sylvester(x @ x.T, w @ x.T - x @ w.T)
+    wx = right_multiply(w, x.T)
+    return solve_skew_sylvester(x @ x.T, wx - wx.swapaxes(-1, -2))
 
 
 def optimal_rotation(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -3,13 +3,19 @@
 Projection from raw landmarks, closed-form sphere geodesics (exp/log/dist),
 tangent projection, the vertical/horizontal split and the align map.
 Points and tangent vectors are plain m-by-k numpy arrays; columns are
-landmarks in R^m.
+landmarks in R^m. `center`, `to_tangent` and the vertical and horizontal
+projections also take a stack (..., m, k) of vectors at one point.
 """
 
 import numpy as np
 
 from .errors import AntipodalPoints, DegenerateConfiguration, io_failure
-from .linalg import eigenvalue_rank, optimal_rotation, solve_sylvester_skew
+from .linalg import (
+    eigenvalue_rank,
+    optimal_rotation,
+    right_multiply,
+    solve_sylvester_skew,
+)
 
 # Below this norm the exponential falls back to its first-order limit.
 _SMALL_ANGLE = 1e-9
@@ -25,7 +31,7 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 def center(points: np.ndarray) -> np.ndarray:
     """Subtract the landmark barycentre from every column."""
-    return points - points.mean(axis=1, keepdims=True)
+    return points - points.mean(axis=-1, keepdims=True)
 
 
 def project_to_preshape(points: np.ndarray) -> np.ndarray:
@@ -52,7 +58,7 @@ def to_tangent(x: np.ndarray, raw: np.ndarray) -> np.ndarray:
     Centers the columns, then removes the radial component. Idempotent.
     """
     w = center(np.asarray(raw, dtype=float))
-    return w - frobenius_inner(w, x) * x
+    return w - np.sum(w * x, axis=(-2, -1), keepdims=True) * x
 
 
 def exp(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -94,7 +100,7 @@ def dist(x: np.ndarray, y: np.ndarray) -> float:
 def vertical_projection(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Component of w along the rotation fiber: A x with A from the
     Sylvester equation A(xx^T) + (xx^T)A = wx^T - xw^T."""
-    return solve_sylvester_skew(x, w) @ x
+    return right_multiply(solve_sylvester_skew(x, w), x)
 
 
 def horizontal_projection(x: np.ndarray, w: np.ndarray) -> np.ndarray:

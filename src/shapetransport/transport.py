@@ -2,19 +2,22 @@
 
 Four methods: the projected Euler scheme, explicit-midpoint RK2 and
 classical RK4 integration of the transport ODE, and the pole ladder
-built from quotient exp/log.
+built from quotient exp/log. The integrated schemes are linear in the
+transported vector; `transport_operator` returns that map as a matrix.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import preshape, quotient
-from .linalg import solve_skew_sylvester
+from .linalg import right_multiply, solve_skew_sylvester
 
 # Explicit schemes as (c, b, d), nodes, weights and divisor. Each stage
-# reads only the one before it: stage j evaluates the ODE at s + c_j delta
-# on v + c_j delta k_{j-1}, and a step adds delta / d * sum_j b_j k_j.
+# reads only the one before it: stage j of step i evaluates the ODE at
+# (i + c_j) delta on v + c_j delta k_{j-1}, and a step adds
+# delta / d * sum_j b_j k_j.
 # RK4 keeps the classical (k1 + 2 k2 + 2 k3 + k4) / 6 form.
 SCHEMES = {
     "euler": ((0.0,), (1.0,), 1.0),
@@ -66,41 +69,85 @@ def transport_ode_rhs(gamma: np.ndarray, gamma_dot: np.ndarray,
                       v: np.ndarray) -> np.ndarray:
     """Right-hand side of the transport ODE,
     v' = -Tr(gamma' v^T) gamma + A gamma, with skew A solving
-    A (gamma gamma^T) + (gamma gamma^T) A = gamma' v^T - v gamma'^T."""
-    a = solve_skew_sylvester(gamma @ gamma.T, gamma_dot @ v.T - v @ gamma_dot.T)
-    return -float(np.sum(gamma_dot * v)) * gamma + a @ gamma
+    A (gamma gamma^T) + (gamma gamma^T) A = gamma' v^T - v gamma'^T.
+
+    ``v`` may be a stack (..., m, k) of vectors along the one state
+    (gamma, gamma'); all of them share one Sylvester eigenbasis.
+    """
+    v_gd = right_multiply(v, gamma_dot.T)
+    a = solve_skew_sylvester(gamma @ gamma.T, v_gd.swapaxes(-1, -2) - v_gd)
+    radial = np.einsum("...ij,ij->...", v, gamma_dot)[..., None, None]
+    return right_multiply(a, gamma) - radial * gamma
+
+
+def transport_operator(x: np.ndarray, w: np.ndarray, n: int,
+                       method: str = "rk4") -> np.ndarray:
+    """Matrix P of the discrete transport map along t -> exp(x, t w).
+
+    The integrated schemes are linear in the transported vector, their
+    projections included, so one integration of the mk unit matrices gives
+    every transport along this geodesic: v moves to
+    (v.reshape(-1) @ P).reshape(m, k). Euler projects back to the tangent
+    space and the horizontal subspace after every step; the RK schemes
+    integrate the raw ODE with states evaluated on the exact geodesic and
+    project once at the end. The pole ladder is nonlinear in v and has no
+    such matrix.
+    """
+    if method == "pole":
+        raise ValueError("the pole ladder is nonlinear in v; it has no "
+                         "transport matrix")
+    if method not in SCHEMES:
+        raise ValueError(f"unknown scheme {method!r}")
+    nodes, weights, divisor = SCHEMES[method]
+    size = x.size
+    v = np.eye(size).reshape(size, *x.shape)
+    # A repeated abscissa shares one state: RK4's two midpoint stages, and
+    # the end of a step (RK4's last stage, Euler's projection point) with
+    # the start of the next.
+    state = lru_cache(maxsize=1)(partial(geodesic_state, x, w))
+    delta = 1.0 / n
+    for i in range(n):
+        k = step = None
+        for c, b in zip(nodes, weights):
+            gamma, gamma_dot = state((i + c) * delta)
+            k = transport_ode_rhs(
+                gamma, gamma_dot, v if k is None else v + c * delta * k)
+            step = b * k if step is None else step + b * k
+        v = v + (delta / divisor) * step
+        if method == "euler":
+            gamma_next, _ = state((i + 1) * delta)
+            v = preshape.to_tangent(gamma_next, v)
+            v = preshape.horizontal_projection(gamma_next, v)
+
+    endpoint = preshape.exp(x, w)
+    v = preshape.horizontal_projection(endpoint, preshape.to_tangent(endpoint, v))
+    return v.reshape(size, size)
+
+
+# The last transport matrix built, with everything it depends on as its
+# key: transports of many vectors along one geodesic integrate only once.
+_last_operator = None
 
 
 def transport_integrated(problem: TransportProblem,
                          scheme: str = "rk4") -> TransportResult:
     """Integrate the transport ODE with a fixed step 1/n.
 
-    Euler projects back to the tangent space and the horizontal subspace
-    after every step; the RK schemes integrate the raw ODE with states
-    evaluated on the exact geodesic and project once at the end.
+    Computed as v @ P with P from `transport_operator`, whether or not P was
+    still held from the previous call, so the result never depends on what
+    was transported before.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    nodes, weights, divisor = SCHEMES[scheme]
-    x, w, v, n = problem.x, problem.w, problem.v, problem.n
-    delta = 1.0 / n
-    for i in range(n):
-        s = i * delta
-        k = step = None
-        for c, b in zip(nodes, weights):
-            gamma, gamma_dot = geodesic_state(x, w, s + c * delta)
-            k = transport_ode_rhs(
-                gamma, gamma_dot, v if k is None else v + c * delta * k)
-            step = b * k if step is None else step + b * k
-        v = v + (delta / divisor) * step
-        if scheme == "euler":
-            gamma_next, _ = geodesic_state(x, w, (i + 1) * delta)
-            v = preshape.to_tangent(gamma_next, v)
-            v = preshape.horizontal_projection(gamma_next, v)
-
-    endpoint = preshape.exp(x, w)
-    v = preshape.horizontal_projection(endpoint, preshape.to_tangent(endpoint, v))
-    return TransportResult(endpoint=endpoint, transported=v)
+    global _last_operator
+    x, w, n = problem.x, problem.w, problem.n
+    key = (scheme, n, x.shape, x.tobytes(), w.tobytes())
+    last = _last_operator
+    if last is None or last[0] != key:
+        op = transport_operator(x, w, n, scheme)
+        op.flags.writeable = False
+        last = _last_operator = key, op
+    v = problem.v
+    return TransportResult(endpoint=preshape.exp(x, w),
+                           transported=(v.reshape(-1) @ last[1]).reshape(v.shape))
 
 
 def pole_ladder(problem: TransportProblem, alpha: float = 2.0) -> TransportResult:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from shapetransport import preshape, quotient, transport
-from shapetransport.cli import main
+from shapetransport import bench, preshape, quotient, transport
+from shapetransport.cli import main, run
 
 from conftest import random_horizontal, random_preshape
 
@@ -47,6 +47,14 @@ class TestRun:
     def test_validation_failures_exit_2(self, runner, bad):
         result = runner.invoke(main, bad)
         assert result.exit_code == 2
+
+    def test_defaults_are_the_config_defaults(self):
+        params = run.make_context("run", []).params
+        cfg = bench.ExperimentConfig()
+        fields = {"steps": "step_counts"}
+        for name, value in params.items():
+            if name not in ("csv_path", "svg_path"):
+                assert value == getattr(cfg, fields.get(name, name)), name
 
 
 class TestOrder:
@@ -139,6 +147,20 @@ class TestTransportCommand:
             "transport", "--input", str(bad), "--target", paths["target"],
             "--vector", paths["vector"]])
         assert result.exit_code == 3
+
+    def test_linalg_error_exits_3(self, runner, tmp_path, rng, monkeypatch):
+        # np.linalg.LinAlgError is a ValueError, yet it is a numerical failure
+        _, _, _, paths = self.write_inputs(tmp_path, rng)
+
+        def fail(*_args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(preshape, "optimal_rotation", fail)
+        result = runner.invoke(main, [
+            "transport", "--input", paths["input"], "--target",
+            paths["target"], "--vector", paths["vector"]])
+        assert result.exit_code == 3, result.output
+        assert result.output == "numerical failure: SVD did not converge\n"
 
     @pytest.mark.parametrize("case", [
         "nan-input", "nan-vector", "non-numeric", "unwritable-output",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapetransport import bench, preshape, transport
+from shapetransport import bench, linalg, preshape, transport
 from shapetransport.transport import TransportProblem
 
 from conftest import random_horizontal, random_preshape
@@ -102,9 +102,13 @@ class TestIntegratedSchemes:
     @pytest.mark.parametrize("scheme", ["euler", "rk2", "rk4"])
     def test_one_step_is_the_textbook_step(self, scheme):
         # pins each tableau exactly: RK2 is the explicit midpoint rule, not
-        # Heun, even though both are second order
+        # Heun, even though both are second order. The step is written out
+        # on the stack of unit matrices, whose transports are the rows of P;
+        # v @ P rounds differently from stepping v itself, so the single
+        # vector is pinned to v @ P.
         problem = make_problem(15, n=1)
-        x, w, v = problem.x, problem.w, problem.v
+        x, w = problem.x, problem.w
+        v = np.eye(x.size).reshape(x.size, *x.shape)
 
         def f(s, vv):
             gamma, gamma_dot = transport.geodesic_state(x, w, s)
@@ -125,9 +129,12 @@ class TestIntegratedSchemes:
         endpoint = preshape.exp(x, w)
         expected = preshape.horizontal_projection(
             endpoint, preshape.to_tangent(endpoint, v1))
+        op = transport.transport_operator(x, w, 1, scheme)
+        assert np.array_equal(op, expected.reshape(x.size, x.size))
         result = transport.transport_integrated(problem, scheme)
         assert np.array_equal(result.endpoint, endpoint)
-        assert np.array_equal(result.transported, expected)
+        assert np.array_equal(result.transported, (
+            problem.v.reshape(-1) @ op).reshape(problem.v.shape))
 
     def test_euler_error_halves_with_doubled_steps(self):
         ratios = []
@@ -150,6 +157,83 @@ class TestIntegratedSchemes:
         assert abs(np.sum(result.transported * result.endpoint)) < 1e-10
         assert preshape.is_horizontal(result.endpoint, result.transported,
                                       tol=1e-8)
+
+
+class TestStackedKernels:
+    """A stack (..., m, k) of vectors at one point gives what a loop over
+    the vectors gives."""
+
+    @pytest.mark.parametrize("kernel", [
+        "transport_ode_rhs", "solve_skew_sylvester", "to_tangent",
+        "horizontal_projection"])
+    def test_stack_matches_a_loop(self, rng, kernel):
+        x = random_preshape(rng, 3, 5)
+        gamma, gamma_dot = transport.geodesic_state(
+            x, random_horizontal(rng, x), 0.4)
+        f = {
+            "transport_ode_rhs": lambda v: transport.transport_ode_rhs(
+                gamma, gamma_dot, v),
+            "solve_skew_sylvester": lambda v: linalg.solve_skew_sylvester(
+                gamma @ gamma.T, v @ gamma.T - gamma @ np.swapaxes(v, -1, -2)),
+            "to_tangent": lambda v: preshape.to_tangent(gamma, v),
+            "horizontal_projection": lambda v: preshape.horizontal_projection(
+                gamma, v),
+        }[kernel]
+        stack = rng.standard_normal((2, 4, 3, 5))
+        stacked = f(stack)
+        looped = np.array([[f(v) for v in row] for row in stack])
+        assert stacked.shape == looped.shape
+        assert np.abs(stacked - looped).max() <= 1e-14
+
+
+class TestOperator:
+    def test_pole_has_no_operator(self):
+        problem = make_problem(16)
+        with pytest.raises(ValueError, match="nonlinear"):
+            transport.transport_operator(problem.x, problem.w, 10, "pole")
+
+    def test_isometry_on_the_horizontal_space(self):
+        # the transports of an orthonormal horizontal basis at x stay
+        # orthonormal, to the tolerance of test_isometry_and_angle
+        problem = make_problem(10, n=100)
+        x, size = problem.x, problem.x.size
+        units = np.eye(size).reshape(size, *x.shape)
+        proj = preshape.horizontal_projection(x, preshape.to_tangent(x, units))
+        _, sig, vt = np.linalg.svd(proj.reshape(size, size))
+        basis = vt[sig > 0.5]
+        assert len(basis) == 5  # mk - m - 1 - m(m-1)/2 for m=3, k=4
+        moved = basis @ transport.transport_operator(x, problem.w, 100, "rk4")
+        assert np.abs(moved @ moved.T - np.eye(len(basis))).max() < 2e-3
+
+    def test_repeat_is_bit_identical_with_or_without_the_memo(self):
+        problem, other = make_problem(17), make_problem(18)
+        first = transport.transport_integrated(problem, "rk4")
+        again = transport.transport_integrated(problem, "rk4")
+        transport.transport_integrated(other, "rk4")  # replaces the held P
+        after = transport.transport_integrated(problem, "rk4")
+        for result in (again, after):
+            assert np.array_equal(result.endpoint, first.endpoint)
+            assert np.array_equal(result.transported, first.transported)
+
+    def test_mutating_outputs_or_inputs_cannot_change_later_results(self):
+        problem, other = make_problem(19), make_problem(20)
+        first = transport.transport_integrated(problem, "rk4")
+        endpoint, transported = first.endpoint.copy(), first.transported.copy()
+        first.endpoint[:] = 0.0
+        first.transported[:] = 0.0
+        later = transport.transport_integrated(problem, "rk4")
+        assert np.array_equal(later.endpoint, endpoint)
+        assert np.array_equal(later.transported, transported)
+        # the caller overwrites x in place after a call
+        x = problem.x.copy()
+        moved = TransportProblem(x, problem.w, problem.v, problem.n)
+        transport.transport_integrated(moved, "rk4")
+        x[:] = other.x
+        op = transport.transport_operator(other.x, problem.w, problem.n, "rk4")
+        got = transport.transport_integrated(moved, "rk4")
+        assert np.array_equal(got.endpoint, preshape.exp(other.x, problem.w))
+        assert np.array_equal(got.transported.reshape(-1),
+                              problem.v.reshape(-1) @ op)
 
 
 class TestPoleLadder:

@@ -80,27 +80,17 @@ def transport_ode_rhs(gamma: np.ndarray, gamma_dot: np.ndarray,
     return right_multiply(a, gamma) - radial * gamma
 
 
-def transport_operator(x: np.ndarray, w: np.ndarray, n: int,
-                       method: str = "rk4") -> np.ndarray:
-    """Matrix P of the discrete transport map along t -> exp(x, t w).
+def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
+               scheme: str) -> tuple[np.ndarray, np.ndarray]:
+    """Step v, one vector (m, k) or a stack (..., m, k), along
+    t -> exp(x, t w) with n steps of the scheme; return the endpoint and v
+    projected to the horizontal space there.
 
-    The integrated schemes are linear in the transported vector, their
-    projections included, so one integration of the mk unit matrices gives
-    every transport along this geodesic: v moves to
-    (v.reshape(-1) @ P).reshape(m, k). Euler projects back to the tangent
-    space and the horizontal subspace after every step; the RK schemes
-    integrate the raw ODE with states evaluated on the exact geodesic and
-    project once at the end. The pole ladder is nonlinear in v and has no
-    such matrix.
+    Euler projects back to the tangent space and the horizontal subspace
+    after every step; the RK schemes integrate the raw ODE with states
+    evaluated on the exact geodesic and project once at the end.
     """
-    if method == "pole":
-        raise ValueError("the pole ladder is nonlinear in v; it has no "
-                         "transport matrix")
-    if method not in SCHEMES:
-        raise ValueError(f"unknown scheme {method!r}")
-    nodes, weights, divisor = SCHEMES[method]
-    size = x.size
-    v = np.eye(size).reshape(size, *x.shape)
+    nodes, weights, divisor = SCHEMES[scheme]
     # A repeated abscissa shares one state: RK4's two midpoint stages, and
     # the end of a step (RK4's last stage, Euler's projection point) with
     # the start of the next.
@@ -114,40 +104,91 @@ def transport_operator(x: np.ndarray, w: np.ndarray, n: int,
                 gamma, gamma_dot, v if k is None else v + c * delta * k)
             step = b * k if step is None else step + b * k
         v = v + (delta / divisor) * step
-        if method == "euler":
+        if scheme == "euler":
             gamma_next, _ = state((i + 1) * delta)
             v = preshape.to_tangent(gamma_next, v)
             v = preshape.horizontal_projection(gamma_next, v)
 
     endpoint = preshape.exp(x, w)
-    v = preshape.horizontal_projection(endpoint, preshape.to_tangent(endpoint, v))
-    return v.reshape(size, size)
+    return endpoint, preshape.horizontal_projection(
+        endpoint, preshape.to_tangent(endpoint, v))
 
 
-# The last transport matrix built, with everything it depends on as its
-# key: transports of many vectors along one geodesic integrate only once.
-_last_operator = None
+def transport_operator(x: np.ndarray, w: np.ndarray, n: int,
+                       method: str = "rk4") -> np.ndarray:
+    """Matrix P of the discrete transport map along t -> exp(x, t w).
+
+    The integrated schemes (euler, rk2, rk4) are linear in the transported
+    vector, their projections included, so one integration of the mk unit
+    matrices gives every transport along this geodesic: v moves to
+    (v.reshape(-1) @ P).reshape(m, k). The pole ladder is nonlinear in v,
+    has no such matrix and is rejected like any unknown method.
+
+    Costs about one integration of mk vectors, O((mk)^2) memory.
+    """
+    if n < 1:
+        raise ValueError("step count must be >= 1")
+    if method not in SCHEMES:
+        raise ValueError(f"unknown scheme {method!r}")
+    size = x.size
+    units = np.eye(size).reshape(size, *x.shape)
+    _, moved = _integrate(x, w, units, n, method)
+    return moved.reshape(size, size)
+
+
+def operator_break_even(size: int) -> int:
+    """Calls in a row along one geodesic after which transport_integrated
+    builds the transport matrix instead of stepping; size is mk.
+
+    Ski rental: the matrix costs about 1 + (mk / 70)^2 single-vector
+    integrations (measured for m = 2, 3 and mk up to 600), and it is built
+    once the calls have cost about as much, so a run of repeated calls
+    costs at most about twice the cheaper of the two ways.
+    """
+    return 2 + (size // 70) ** 2
+
+
+# The geodesic of the last call (scheme, n and the bytes of x and w), the
+# number of calls in a row that asked for it and, from the break-even call
+# on, its transport matrix.
+_last = None
 
 
 def transport_integrated(problem: TransportProblem,
                          scheme: str = "rk4") -> TransportResult:
     """Integrate the transport ODE with a fixed step 1/n.
 
-    Computed as v @ P with P from `transport_operator`, whether or not P was
-    still held from the previous call, so the result never depends on what
-    was transported before.
+    A call steps v itself, unless the calls just before it asked for the
+    same geodesic: from the `operator_break_even`-th call in a row on, the
+    result is v @ P with P from `transport_operator`, built once and kept
+    until a call asks for another geodesic. The two paths round differently,
+    so a result matches the one of an earlier call to the last few ulps,
+    not bit for bit, when one of the calls stepped and the other used P.
     """
-    global _last_operator
-    x, w, n = problem.x, problem.w, problem.n
+    global _last
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    x, w, v, n = problem.x, problem.w, problem.v, problem.n
     key = (scheme, n, x.shape, x.tobytes(), w.tobytes())
-    last = _last_operator
+    # One read and one write of the shared entry: a concurrent call can at
+    # worst replace it, never hand this call another geodesic's matrix.
+    last = _last
     if last is None or last[0] != key:
-        op = transport_operator(x, w, n, scheme)
-        op.flags.writeable = False
-        last = _last_operator = key, op
-    v = problem.v
+        last = key, 1, None
+    elif last[2] is None:
+        calls = last[1] + 1
+        op = None
+        if calls >= operator_break_even(x.size):
+            op = transport_operator(x, w, n, scheme)
+            op.flags.writeable = False
+        last = key, calls, op
+    _last = last
+    op = last[2]
+    if op is None:
+        endpoint, transported = _integrate(x, w, v, n, scheme)
+        return TransportResult(endpoint=endpoint, transported=transported)
     return TransportResult(endpoint=preshape.exp(x, w),
-                           transported=(v.reshape(-1) @ last[1]).reshape(v.shape))
+                           transported=(v.reshape(-1) @ op).reshape(v.shape))
 
 
 def pole_ladder(problem: TransportProblem, alpha: float = 2.0) -> TransportResult:

@@ -19,6 +19,12 @@ def rk4_reference(problem, n_ref=1100):
         scheme="rk4").transported
 
 
+def evict():
+    """Transport along an unrelated geodesic, so that the next call is the
+    first along its own."""
+    transport.transport_integrated(make_problem(99, n=2), "rk2")
+
+
 class TestGeodesicState:
     def test_start(self, rng):
         x = random_preshape(rng, 3, 4)
@@ -102,39 +108,42 @@ class TestIntegratedSchemes:
     @pytest.mark.parametrize("scheme", ["euler", "rk2", "rk4"])
     def test_one_step_is_the_textbook_step(self, scheme):
         # pins each tableau exactly: RK2 is the explicit midpoint rule, not
-        # Heun, even though both are second order. The step is written out
-        # on the stack of unit matrices, whose transports are the rows of P;
-        # v @ P rounds differently from stepping v itself, so the single
-        # vector is pinned to v @ P.
+        # Heun, even though both are second order. A first call steps v
+        # itself; the rows of P are the step applied to the unit matrices,
+        # and a repeated call computes v @ P.
         problem = make_problem(15, n=1)
         x, w = problem.x, problem.w
-        v = np.eye(x.size).reshape(x.size, *x.shape)
 
         def f(s, vv):
             gamma, gamma_dot = transport.geodesic_state(x, w, s)
             return transport.transport_ode_rhs(gamma, gamma_dot, vv)
 
-        k1 = f(0.0, v)
-        if scheme == "euler":
-            gamma, _ = transport.geodesic_state(x, w, 1.0)
-            v1 = preshape.horizontal_projection(
-                gamma, preshape.to_tangent(gamma, v + k1))
-        elif scheme == "rk2":
-            v1 = v + f(0.5, v + 0.5 * k1)
-        else:
-            k2 = f(0.5, v + 0.5 * k1)
-            k3 = f(0.5, v + 0.5 * k2)
-            k4 = f(1.0, v + k3)
-            v1 = v + 1 / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        def step(v):
+            k1 = f(0.0, v)
+            if scheme == "euler":
+                gamma, _ = transport.geodesic_state(x, w, 1.0)
+                v1 = preshape.horizontal_projection(
+                    gamma, preshape.to_tangent(gamma, v + k1))
+            elif scheme == "rk2":
+                v1 = v + f(0.5, v + 0.5 * k1)
+            else:
+                k2 = f(0.5, v + 0.5 * k1)
+                k3 = f(0.5, v + 0.5 * k2)
+                k4 = f(1.0, v + k3)
+                v1 = v + 1 / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            return preshape.horizontal_projection(
+                endpoint, preshape.to_tangent(endpoint, v1))
+
         endpoint = preshape.exp(x, w)
-        expected = preshape.horizontal_projection(
-            endpoint, preshape.to_tangent(endpoint, v1))
+        units = np.eye(x.size).reshape(x.size, *x.shape)
         op = transport.transport_operator(x, w, 1, scheme)
-        assert np.array_equal(op, expected.reshape(x.size, x.size))
-        result = transport.transport_integrated(problem, scheme)
-        assert np.array_equal(result.endpoint, endpoint)
-        assert np.array_equal(result.transported, (
-            problem.v.reshape(-1) @ op).reshape(problem.v.shape))
+        assert np.array_equal(op, step(units).reshape(x.size, x.size))
+        evict()
+        for expected in (step(problem.v),
+                         (problem.v.reshape(-1) @ op).reshape(problem.v.shape)):
+            result = transport.transport_integrated(problem, scheme)
+            assert np.array_equal(result.endpoint, endpoint)
+            assert np.array_equal(result.transported, expected)
 
     def test_euler_error_halves_with_doubled_steps(self):
         ratios = []
@@ -189,8 +198,14 @@ class TestStackedKernels:
 class TestOperator:
     def test_pole_has_no_operator(self):
         problem = make_problem(16)
-        with pytest.raises(ValueError, match="nonlinear"):
+        with pytest.raises(ValueError):
             transport.transport_operator(problem.x, problem.w, 10, "pole")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_step_count_below_one_rejected(self, n):
+        problem = make_problem(16)
+        with pytest.raises(ValueError, match="step count"):
+            transport.transport_operator(problem.x, problem.w, n, "rk4")
 
     def test_isometry_on_the_horizontal_space(self):
         # the transports of an orthonormal horizontal basis at x stay
@@ -205,35 +220,58 @@ class TestOperator:
         moved = basis @ transport.transport_operator(x, problem.w, 100, "rk4")
         assert np.abs(moved @ moved.T - np.eye(len(basis))).max() < 2e-3
 
-    def test_repeat_is_bit_identical_with_or_without_the_memo(self):
-        problem, other = make_problem(17), make_problem(18)
-        first = transport.transport_integrated(problem, "rk4")
-        again = transport.transport_integrated(problem, "rk4")
-        transport.transport_integrated(other, "rk4")  # replaces the held P
-        after = transport.transport_integrated(problem, "rk4")
-        for result in (again, after):
-            assert np.array_equal(result.endpoint, first.endpoint)
-            assert np.array_equal(result.transported, first.transported)
+    def test_break_even_grows_with_the_matrix(self):
+        assert transport.operator_break_even(12) == 2
+        assert transport.operator_break_even(36) == 2
+        assert transport.operator_break_even(90) == 3
+        assert transport.operator_break_even(600) == 66
+
+    @pytest.mark.parametrize("k", [4, 30])
+    def test_repeats_step_until_break_even_then_use_the_matrix(self, k):
+        problem, other = make_problem(17, k=k, n=10), make_problem(18, k=k, n=10)
+        x, w, v = problem.x, problem.w, problem.v
+        calls = transport.operator_break_even(x.size)
+        op = transport.transport_operator(x, w, problem.n, "rk4")
+        applied = (v.reshape(-1) @ op).reshape(v.shape)
+        # each round starts along another geodesic; the second must repeat
+        # the first
+        for _ in range(2):
+            transport.transport_integrated(other, "rk4")
+            results = [transport.transport_integrated(problem, "rk4")
+                       for _ in range(calls + 1)]
+            stepped = results[0].transported
+            for result in results:
+                assert np.array_equal(result.endpoint, preshape.exp(x, w))
+            for result in results[1:calls - 1]:
+                assert np.array_equal(result.transported, stepped)
+            for result in results[calls - 1:]:
+                assert np.array_equal(result.transported, applied)
+            assert not np.array_equal(stepped, applied)
+            assert np.abs(stepped - applied).max() < 1e-14
 
     def test_mutating_outputs_or_inputs_cannot_change_later_results(self):
         problem, other = make_problem(19), make_problem(20)
-        first = transport.transport_integrated(problem, "rk4")
-        endpoint, transported = first.endpoint.copy(), first.transported.copy()
-        first.endpoint[:] = 0.0
-        first.transported[:] = 0.0
+        evict()
+        transport.transport_integrated(problem, "rk4")
+        held = transport.transport_integrated(problem, "rk4")  # builds P
+        endpoint, transported = held.endpoint.copy(), held.transported.copy()
+        held.endpoint[:] = 0.0
+        held.transported[:] = 0.0
         later = transport.transport_integrated(problem, "rk4")
         assert np.array_equal(later.endpoint, endpoint)
         assert np.array_equal(later.transported, transported)
-        # the caller overwrites x in place after a call
+        # the caller overwrites x in place after P was built for it
         x = problem.x.copy()
         moved = TransportProblem(x, problem.w, problem.v, problem.n)
-        transport.transport_integrated(moved, "rk4")
+        for _ in range(2):
+            transport.transport_integrated(moved, "rk4")
         x[:] = other.x
-        op = transport.transport_operator(other.x, problem.w, problem.n, "rk4")
         got = transport.transport_integrated(moved, "rk4")
-        assert np.array_equal(got.endpoint, preshape.exp(other.x, problem.w))
-        assert np.array_equal(got.transported.reshape(-1),
-                              problem.v.reshape(-1) @ op)
+        evict()
+        want = transport.transport_integrated(TransportProblem(
+            other.x, problem.w, problem.v, problem.n), "rk4")
+        assert np.array_equal(got.endpoint, want.endpoint)
+        assert np.array_equal(got.transported, want.transported)
 
 
 class TestPoleLadder:

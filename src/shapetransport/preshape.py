@@ -3,8 +3,9 @@
 Projection from raw landmarks, closed-form sphere geodesics (exp/log/dist),
 tangent projection, the vertical/horizontal split and the align map.
 Points and tangent vectors are plain m-by-k numpy arrays; columns are
-landmarks in R^m. `center`, `to_tangent` and the vertical and horizontal
-projections also take a stack (..., m, k) of vectors at one point.
+landmarks in R^m. `center`, `remove_radial`, `to_tangent` and the
+vertical and horizontal projections also take a stack (..., m, k) of
+vectors at one point.
 """
 
 import numpy as np
@@ -52,13 +53,17 @@ def configuration_rank(x: np.ndarray) -> int:
     return eigenvalue_rank(np.linalg.eigh(x @ x.T)[0])
 
 
+def remove_radial(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w minus its component along the unit-norm x."""
+    return w - np.sum(w * x, axis=(-2, -1), keepdims=True) * x
+
+
 def to_tangent(x: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """Project a raw m-by-k matrix onto the tangent space at x.
 
     Centers the columns, then removes the radial component. Idempotent.
     """
-    w = center(np.asarray(raw, dtype=float))
-    return w - np.sum(w * x, axis=(-2, -1), keepdims=True) * x
+    return remove_radial(x, center(np.asarray(raw, dtype=float)))
 
 
 def exp(x: np.ndarray, w: np.ndarray) -> np.ndarray:

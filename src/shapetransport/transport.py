@@ -2,8 +2,10 @@
 
 Four methods: the projected Euler scheme, explicit-midpoint RK2 and
 classical RK4 integration of the transport ODE, and the pole ladder
-built from quotient exp/log. The integrated schemes are linear in the
-transported vector; `transport_operator` returns that map as a matrix.
+built from quotient exp/log. The integrated schemes move a vector only
+within the row span of x and w, so they integrate in m-by-min(k, 2m)
+span coordinates whatever k is, and they are linear in the vector: repeats
+along one geodesic apply an operator of side m * min(k, 2m).
 """
 
 from dataclasses import dataclass
@@ -81,14 +83,15 @@ def transport_ode_rhs(gamma: np.ndarray, gamma_dot: np.ndarray,
 
 
 def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
-               scheme: str) -> tuple[np.ndarray, np.ndarray]:
-    """Step v, one vector (m, k) or a stack (..., m, k), along
-    t -> exp(x, t w) with n steps of the scheme; return the endpoint and v
-    projected to the horizontal space there.
+               scheme: str) -> np.ndarray:
+    """Step v, one vector (m, r) or a stack (..., m, r), along
+    t -> exp(x, t w) with n steps of the scheme and return it at t = 1.
 
-    Euler projects back to the tangent space and the horizontal subspace
-    after every step; the RK schemes integrate the raw ODE with states
-    evaluated on the exact geodesic and project once at the end.
+    x, w and v are in the coordinates of an orthonormal basis of a row
+    space that holds x and w, so columns are not landmarks. Euler removes
+    the radial and the vertical component after every step; the RK schemes
+    integrate the raw ODE with states evaluated on the exact geodesic. The
+    caller projects the result at the endpoint.
     """
     nodes, weights, divisor = SCHEMES[scheme]
     # A repeated abscissa shares one state: RK4's two midpoint stages, and
@@ -105,52 +108,32 @@ def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
             step = b * k if step is None else step + b * k
         v = v + (delta / divisor) * step
         if scheme == "euler":
-            gamma_next, _ = state((i + 1) * delta)
-            v = preshape.to_tangent(gamma_next, v)
-            v = preshape.horizontal_projection(gamma_next, v)
-
-    endpoint = preshape.exp(x, w)
-    return endpoint, preshape.horizontal_projection(
-        endpoint, preshape.to_tangent(endpoint, v))
-
-
-def transport_operator(x: np.ndarray, w: np.ndarray, n: int,
-                       method: str = "rk4") -> np.ndarray:
-    """Matrix P of the discrete transport map along t -> exp(x, t w).
-
-    The integrated schemes (euler, rk2, rk4) are linear in the transported
-    vector, their projections included, so one integration of the mk unit
-    matrices gives every transport along this geodesic: v moves to
-    (v.reshape(-1) @ P).reshape(m, k). The pole ladder is nonlinear in v,
-    has no such matrix and is rejected like any unknown method.
-
-    Costs about one integration of mk vectors, O((mk)^2) memory.
-    """
-    if n < 1:
-        raise ValueError("step count must be >= 1")
-    if method not in SCHEMES:
-        raise ValueError(f"unknown scheme {method!r}")
-    size = x.size
-    units = np.eye(size).reshape(size, *x.shape)
-    _, moved = _integrate(x, w, units, n, method)
-    return moved.reshape(size, size)
+            # No centring: span coordinates are not landmark columns.
+            gamma, _ = state((i + 1) * delta)
+            v = preshape.horizontal_projection(
+                gamma, preshape.remove_radial(gamma, v))
+    return v
 
 
 def operator_break_even(size: int) -> int:
     """Calls in a row along one geodesic after which transport_integrated
-    builds the transport matrix instead of stepping; size is mk.
+    builds the transport operator instead of stepping; size is the side of
+    that operator, m * min(k, 2m).
 
-    Ski rental: the matrix costs about 1 + (mk / 70)^2 single-vector
-    integrations (measured for m = 2, 3 and mk up to 600), and it is built
-    once the calls have cost about as much, so a run of repeated calls
-    costs at most about twice the cheaper of the two ways.
+    Ski rental: the operator costs about 1 + (size / 70)^2 single-vector
+    integrations (RK4, measured about 1.1 for m = 2 and 3, 1.6 for m = 5
+    and 10-12 for m = 10, whatever k), and it is built once the
+    calls have cost about as much, so a run of repeated calls costs at
+    most about twice the cheaper of the two ways. It is the second call
+    for every m <= 5 and the sixth for m = 10.
     """
     return 2 + (size // 70) ** 2
 
 
 # The geodesic of the last call (scheme, n and the bytes of x and w), the
-# number of calls in a row that asked for it and, from the break-even call
-# on, its transport matrix.
+# number of calls in a row that asked for it, its span (an orthonormal
+# basis y of the row span of x and w, x @ y and w @ y) and, from the
+# break-even call on, its transport operator in span coordinates.
 _last = None
 
 
@@ -158,12 +141,17 @@ def transport_integrated(problem: TransportProblem,
                          scheme: str = "rk4") -> TransportResult:
     """Integrate the transport ODE with a fixed step 1/n.
 
-    A call steps v itself, unless the calls just before it asked for the
-    same geodesic: from the `operator_break_even`-th call in a row on, the
-    result is v @ P with P from `transport_operator`, built once and kept
-    until a call asks for another geodesic. The two paths round differently,
-    so a result matches the one of an earlier call to the last few ulps,
-    not bit for bit, when one of the calls stepped and the other used P.
+    Along the geodesic the ODE only adds A gamma - <gamma', v> gamma to v,
+    which lies in the row span of x and w. So the call integrates v @ y,
+    with y an orthonormal k-by-min(k, 2m) basis of that span, lifts the
+    result back as v + (moved - v @ y) @ y^T and projects it at the
+    endpoint. A call steps v @ y itself, unless the calls just before it
+    asked for the same geodesic: from the `operator_break_even`-th call in
+    a row on, it applies the (m min(k, 2m))-square operator P built once
+    from the unit matrices of the span and kept until a call asks for
+    another geodesic. The two paths round differently, so a result matches
+    the one of an earlier call to the last few ulps, not bit for bit, when
+    one of the calls stepped and the other used P.
     """
     global _last
     if scheme not in SCHEMES:
@@ -171,24 +159,28 @@ def transport_integrated(problem: TransportProblem,
     x, w, v, n = problem.x, problem.w, problem.v, problem.n
     key = (scheme, n, x.shape, x.tobytes(), w.tobytes())
     # One read and one write of the shared entry: a concurrent call can at
-    # worst replace it, never hand this call another geodesic's matrix.
+    # worst replace it, never hand this call another geodesic's operator.
     last = _last
     if last is None or last[0] != key:
-        last = key, 1, None
-    elif last[2] is None:
-        calls = last[1] + 1
-        op = None
-        if calls >= operator_break_even(x.size):
-            op = transport_operator(x, w, n, scheme)
-            op.flags.writeable = False
-        last = key, calls, op
-    _last = last
-    op = last[2]
+        y = np.linalg.qr(np.concatenate([x, w]).T)[0]
+        last = key, 0, y, x @ y, w @ y, None
+    _, calls, y, x_r, w_r, op = last
+    calls += 1
+    if op is None and calls >= operator_break_even(x_r.size):
+        size = x_r.size
+        units = np.eye(size).reshape(size, *x_r.shape)
+        op = _integrate(x_r, w_r, units, n, scheme).reshape(size, size)
+    _last = key, calls, y, x_r, w_r, op
+    v_r = v @ y
     if op is None:
-        endpoint, transported = _integrate(x, w, v, n, scheme)
-        return TransportResult(endpoint=endpoint, transported=transported)
-    return TransportResult(endpoint=preshape.exp(x, w),
-                           transported=(v.reshape(-1) @ op).reshape(v.shape))
+        moved = _integrate(x_r, w_r, v_r, n, scheme)
+    else:
+        moved = (v_r.reshape(-1) @ op).reshape(v_r.shape)
+    endpoint = preshape.exp(x, w)
+    transported = preshape.to_tangent(endpoint, v + (moved - v_r) @ y.T)
+    return TransportResult(
+        endpoint=endpoint,
+        transported=preshape.horizontal_projection(endpoint, transported))
 
 
 def pole_ladder(problem: TransportProblem, alpha: float = 2.0) -> TransportResult:

@@ -3,6 +3,7 @@ import pytest
 
 from shapetransport import preshape, quotient
 from shapetransport.errors import RankDeficient
+from shapetransport.linalg import RANK_RTOL
 
 from conftest import (
     random_horizontal,
@@ -33,6 +34,23 @@ class TestRepresentative:
         x /= np.linalg.norm(x)
         with pytest.raises(RankDeficient):
             quotient.check_representative(x)
+
+    @pytest.mark.parametrize("factor,rejected", [(0.99, True), (1.01, False)])
+    def test_rank_threshold(self, factor, rejected):
+        # xx^T = diag(1, ratio, 0) / (1 + ratio): the second eigenvalue sits
+        # 1 % under or over RANK_RTOL times the largest
+        rows = np.linalg.qr(np.array([[1.0, -1.0, 0.0, 0.0],
+                                      [1.0, 1.0, -2.0, 0.0]]).T)[0].T
+        ratio = factor * RANK_RTOL
+        x = np.zeros((3, 4))
+        x[:2] = np.sqrt(np.array([[1.0], [ratio]]) / (1.0 + ratio)) * rows
+        lam = np.linalg.eigh(x @ x.T)[0]
+        assert lam[1] / lam[2] == pytest.approx(ratio, rel=1e-6)
+        if rejected:
+            with pytest.raises(RankDeficient):
+                quotient.check_representative(x)
+        else:
+            assert quotient.check_representative(x) is x
 
     def test_non_preshape_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from shapetransport import bench, linalg, preshape, transport
+from shapetransport import bench, linalg, preshape, quotient, transport
 from shapetransport.transport import TransportProblem
 
-from conftest import random_horizontal, random_preshape
+from conftest import random_horizontal, random_preshape, random_rotation
 
 
 def make_problem(seed, m=3, k=4, n=100):
@@ -108,42 +108,54 @@ class TestIntegratedSchemes:
     @pytest.mark.parametrize("scheme", ["euler", "rk2", "rk4"])
     def test_one_step_is_the_textbook_step(self, scheme):
         # pins each tableau exactly: RK2 is the explicit midpoint rule, not
-        # Heun, even though both are second order. A first call steps v
-        # itself; the rows of P are the step applied to the unit matrices,
-        # and a repeated call computes v @ P.
+        # Heun, even though both are second order. The step runs in the
+        # coordinates of an orthonormal basis y of the row span of x and w:
+        # a first call steps v @ y, the break-even call applies the step to
+        # the unit matrices of the span and computes v @ y @ P. Both agree
+        # with the step written out on the full m-by-k matrices.
         problem = make_problem(15, n=1)
-        x, w = problem.x, problem.w
+        x, w, v = problem.x, problem.w, problem.v
+        endpoint = preshape.exp(x, w)
 
-        def f(s, vv):
-            gamma, gamma_dot = transport.geodesic_state(x, w, s)
-            return transport.transport_ode_rhs(gamma, gamma_dot, vv)
+        def step(x, w, v, to_tangent):
+            def f(s, vv):
+                gamma, gamma_dot = transport.geodesic_state(x, w, s)
+                return transport.transport_ode_rhs(gamma, gamma_dot, vv)
 
-        def step(v):
             k1 = f(0.0, v)
             if scheme == "euler":
                 gamma, _ = transport.geodesic_state(x, w, 1.0)
-                v1 = preshape.horizontal_projection(
-                    gamma, preshape.to_tangent(gamma, v + k1))
-            elif scheme == "rk2":
-                v1 = v + f(0.5, v + 0.5 * k1)
-            else:
-                k2 = f(0.5, v + 0.5 * k1)
-                k3 = f(0.5, v + 0.5 * k2)
-                k4 = f(1.0, v + k3)
-                v1 = v + 1 / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            return preshape.horizontal_projection(
-                endpoint, preshape.to_tangent(endpoint, v1))
+                return preshape.horizontal_projection(
+                    gamma, to_tangent(gamma, v + k1))
+            if scheme == "rk2":
+                return v + f(0.5, v + 0.5 * k1)
+            k2 = f(0.5, v + 0.5 * k1)
+            k3 = f(0.5, v + 0.5 * k2)
+            k4 = f(1.0, v + k3)
+            return v + 1 / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        endpoint = preshape.exp(x, w)
-        units = np.eye(x.size).reshape(x.size, *x.shape)
-        op = transport.transport_operator(x, w, 1, scheme)
-        assert np.array_equal(op, step(units).reshape(x.size, x.size))
+        def at_endpoint(vv):
+            return preshape.horizontal_projection(
+                endpoint, preshape.to_tangent(endpoint, vv))
+
+        y = np.linalg.qr(np.concatenate([x, w]).T)[0]
+        x_r, w_r, v_r = x @ y, w @ y, v @ y
+        size = x_r.size
+        assert transport.operator_break_even(size) == 2
+        units = np.eye(size).reshape(size, *x_r.shape)
+        radial = preshape.remove_radial
+        op = step(x_r, w_r, units, radial).reshape(size, size)
+        moved = (step(x_r, w_r, v_r, radial),
+                 (v_r.reshape(-1) @ op).reshape(v_r.shape))
+        full = at_endpoint(step(x, w, v, preshape.to_tangent))
         evict()
-        for expected in (step(problem.v),
-                         (problem.v.reshape(-1) @ op).reshape(problem.v.shape)):
+        for moved_r in moved:
             result = transport.transport_integrated(problem, scheme)
             assert np.array_equal(result.endpoint, endpoint)
-            assert np.array_equal(result.transported, expected)
+            assert np.array_equal(result.transported,
+                                  at_endpoint(v + (moved_r - v_r) @ y.T))
+            assert (np.abs(result.transported - full).max()
+                    <= 1e-14 * max(1.0, np.linalg.norm(v)))
 
     def test_euler_error_halves_with_doubled_steps(self):
         ratios = []
@@ -196,17 +208,6 @@ class TestStackedKernels:
 
 
 class TestOperator:
-    def test_pole_has_no_operator(self):
-        problem = make_problem(16)
-        with pytest.raises(ValueError):
-            transport.transport_operator(problem.x, problem.w, 10, "pole")
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_step_count_below_one_rejected(self, n):
-        problem = make_problem(16)
-        with pytest.raises(ValueError, match="step count"):
-            transport.transport_operator(problem.x, problem.w, n, "rk4")
-
     def test_isometry_on_the_horizontal_space(self):
         # the transports of an orthonormal horizontal basis at x stay
         # orthonormal, to the tolerance of test_isometry_and_angle
@@ -217,36 +218,50 @@ class TestOperator:
         _, sig, vt = np.linalg.svd(proj.reshape(size, size))
         basis = vt[sig > 0.5]
         assert len(basis) == 5  # mk - m - 1 - m(m-1)/2 for m=3, k=4
-        moved = basis @ transport.transport_operator(x, problem.w, 100, "rk4")
+        moved = np.array([transport.transport_integrated(TransportProblem(
+            x, problem.w, b.reshape(x.shape), 100), "rk4").transported.ravel()
+            for b in basis])
         assert np.abs(moved @ moved.T - np.eye(len(basis))).max() < 2e-3
 
     def test_break_even_grows_with_the_matrix(self):
-        assert transport.operator_break_even(12) == 2
-        assert transport.operator_break_even(36) == 2
-        assert transport.operator_break_even(90) == 3
-        assert transport.operator_break_even(600) == 66
+        # operator sides m * min(k, 2m) at k >= 2m for m = 2, 3, 5 and 10
+        assert transport.operator_break_even(8) == 2
+        assert transport.operator_break_even(18) == 2
+        assert transport.operator_break_even(50) == 2
+        assert transport.operator_break_even(200) == 6
 
-    @pytest.mark.parametrize("k", [4, 30])
-    def test_repeats_step_until_break_even_then_use_the_matrix(self, k):
+    @pytest.mark.parametrize("k", [4, 30, 2000])
+    def test_repeats_step_until_break_even_then_use_the_matrix(
+            self, k, monkeypatch):
         problem, other = make_problem(17, k=k, n=10), make_problem(18, k=k, n=10)
-        x, w, v = problem.x, problem.w, problem.v
-        calls = transport.operator_break_even(x.size)
-        op = transport.transport_operator(x, w, problem.n, "rk4")
-        applied = (v.reshape(-1) @ op).reshape(v.shape)
+        x, w, n = problem.x, problem.w, problem.n
+        # m = 3: the operator's side is 3 * min(k, 6) at any k
+        side = 3 * min(k, 6)
+        assert transport.operator_break_even(side) == 2
+        rhs_calls = []
+        rhs = transport.transport_ode_rhs
+
+        def counted(*args):
+            rhs_calls.append(1)
+            return rhs(*args)
+
+        monkeypatch.setattr(transport, "transport_ode_rhs", counted)
         # each round starts along another geodesic; the second must repeat
         # the first
         for _ in range(2):
             transport.transport_integrated(other, "rk4")
-            results = [transport.transport_integrated(problem, "rk4")
-                       for _ in range(calls + 1)]
-            stepped = results[0].transported
+            results, counts = [], []
+            for _ in range(4):
+                rhs_calls.clear()
+                results.append(transport.transport_integrated(problem, "rk4"))
+                counts.append(len(rhs_calls))
+            assert counts == [4 * n, 4 * n, 0, 0]
+            assert transport._last[-1].shape == (side, side)
             for result in results:
                 assert np.array_equal(result.endpoint, preshape.exp(x, w))
-            for result in results[1:calls - 1]:
-                assert np.array_equal(result.transported, stepped)
-            for result in results[calls - 1:]:
+            stepped, applied = results[0].transported, results[1].transported
+            for result in results[2:]:
                 assert np.array_equal(result.transported, applied)
-            assert not np.array_equal(stepped, applied)
             assert np.abs(stepped - applied).max() < 1e-14
 
     def test_mutating_outputs_or_inputs_cannot_change_later_results(self):
@@ -361,3 +376,52 @@ class TestTransportProperties:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             transport.transport_integrated(make_problem(14), "rk7")
+
+
+class TestEquivariance:
+    """Transport commutes with rotating the landmarks and with relabelling
+    them; relabelling changes the span basis of the integrated schemes."""
+
+    TOL = {"euler": 1e-14, "rk2": 1e-14, "rk4": 1e-14, "pole": 1e-12}
+
+    @pytest.mark.parametrize("k", [4, 12])
+    @pytest.mark.parametrize("method", transport.METHODS)
+    def test_rotation(self, rng, method, k):
+        problem = make_problem(21, k=k, n=10)
+        r = random_rotation(rng, 3)
+        base = transport.transport(problem, method)
+        moved = transport.transport(TransportProblem(
+            r @ problem.x, r @ problem.w, r @ problem.v, 10), method)
+        assert np.abs(moved.endpoint - r @ base.endpoint).max() < 1e-14
+        assert (np.abs(moved.transported - r @ base.transported).max()
+                < self.TOL[method])
+
+    @pytest.mark.parametrize("k", [4, 12])
+    @pytest.mark.parametrize("method", transport.METHODS)
+    def test_relabelling(self, rng, method, k):
+        problem = make_problem(22, k=k, n=10)
+        perm = rng.permutation(k)
+        base = transport.transport(problem, method)
+        moved = transport.transport(TransportProblem(
+            problem.x[:, perm], problem.w[:, perm], problem.v[:, perm], 10),
+            method)
+        assert np.abs(moved.endpoint - base.endpoint[:, perm]).max() < 1e-14
+        assert (np.abs(moved.transported - base.transported[:, perm]).max()
+                < self.TOL[method])
+
+
+class TestSingularStratum:
+    @pytest.mark.parametrize("method", transport.METHODS)
+    def test_planar_configuration_in_space(self, rng, method):
+        # m = 3 with every landmark in one plane: rank exactly m - 1
+        x = np.zeros((3, 6))
+        x[:2] = rng.standard_normal((2, 6))
+        x = preshape.project_to_preshape(x)
+        assert preshape.configuration_rank(x) == 2
+        assert quotient.check_representative(x) is x
+        w = 0.5 * random_horizontal(rng, x)
+        v = random_horizontal(rng, x)
+        result = transport.transport(TransportProblem(x, w, v, 20), method)
+        assert np.all(np.isfinite(result.transported))
+        assert preshape.is_horizontal(result.endpoint, result.transported,
+                                      tol=1e-8)

@@ -208,6 +208,18 @@ class TestStackedKernels:
 
 
 class TestOperator:
+    def test_pole_has_no_operator(self):
+        # the span operator is built only for the integrated schemes
+        problem = make_problem(16)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            transport.transport_integrated(problem, "pole")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_step_count_below_one_rejected(self, n):
+        problem = make_problem(16)
+        with pytest.raises(ValueError, match="step count"):
+            TransportProblem(problem.x, problem.w, problem.v, n)
+
     def test_isometry_on_the_horizontal_space(self):
         # the transports of an orthonormal horizontal basis at x stay
         # orthonormal, to the tolerance of test_isometry_and_angle

@@ -1,7 +1,10 @@
 """Small dense linear-algebra kernels.
 
 Symmetric-coefficient skew Sylvester solver and the SVD-based optimal
-rotation (rotation-only Procrustes). Design envelope is m <= 10.
+rotation (rotation-only Procrustes). Design envelope is m <= 10. The
+Sylvester solvers take a stack (..., m, k) of right-hand sides; products
+of a stack with one matrix are plain broadcasting `@`, with no reshaping
+helper.
 """
 
 import numpy as np
@@ -20,13 +23,6 @@ def eigenvalue_rank(lam: np.ndarray) -> int:
     return len(lam) - np.count_nonzero(lam < RANK_RTOL * lam[-1])
 
 
-def right_multiply(stack: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """stack @ mat for a stack (..., p, q) of matrices and one q-by-r matrix,
-    computed as a single 2-D product over all rows of the stack."""
-    rows = stack.reshape(-1, stack.shape[-1]) @ mat
-    return rows.reshape(*stack.shape[:-1], mat.shape[-1])
-
-
 def solve_skew_sylvester(sym: np.ndarray, rhs_skew: np.ndarray) -> np.ndarray:
     """Solve A @ S + S @ A = B for skew-symmetric A.
 
@@ -41,10 +37,9 @@ def solve_skew_sylvester(sym: np.ndarray, rhs_skew: np.ndarray) -> np.ndarray:
         raise RankDeficient(
             "two or more eigenvalues below tolerance; rank < m-1"
         )
-    denom = lam[:, None] + lam[None, :]
-    np.fill_diagonal(denom, np.inf)  # diagonal of the solution is forced to 0
-    bt = right_multiply(u.T @ rhs_skew, u)
-    a = right_multiply(u @ (bt / denom), u.T)
+    denom = lam[:, None] + lam
+    denom.flat[::len(lam) + 1] = np.inf  # the solution's diagonal is 0
+    a = u @ (u.T @ rhs_skew @ u / denom) @ u.T
     return 0.5 * (a - a.swapaxes(-1, -2))
 
 
@@ -54,7 +49,7 @@ def solve_sylvester_skew(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     ``x`` is an m-by-k pre-shape of rank >= m-1, ``w`` any m-by-k matrix or
     a stack (..., m, k) of them; the result has the shape of the stack.
     """
-    wx = right_multiply(w, x.T)
+    wx = w @ x.T
     return solve_skew_sylvester(x @ x.T, wx - wx.swapaxes(-1, -2))
 
 
@@ -67,12 +62,12 @@ def optimal_rotation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     (near-)zero, i.e. the minimizer is not unique.
     """
     p, sig, qt = np.linalg.svd(x @ y.T)
-    det = np.linalg.det(p) * np.linalg.det(qt)
-    signs = np.ones(len(sig))
-    if det < 0.0:
+    rot = p @ qt
+    if np.linalg.det(rot) < 0.0:
         if sig[-2] + sig[-1] <= RANK_RTOL * sig[0]:
             raise AmbiguousAlignment(
                 "optimal rotation not unique: degenerate singular values"
             )
-        signs[-1] = -1.0
-    return (p * signs) @ qt
+        p[:, -1] = -p[:, -1]
+        rot = p @ qt
+    return rot

@@ -5,18 +5,15 @@ tangent projection, the vertical/horizontal split and the align map.
 Points and tangent vectors are plain m-by-k numpy arrays; columns are
 landmarks in R^m. `center`, `remove_radial`, `to_tangent` and the
 vertical and horizontal projections also take a stack (..., m, k) of
-vectors at one point.
+vectors at one point; their products with the point broadcast with `@`.
 """
+
+import math
 
 import numpy as np
 
 from .errors import AntipodalPoints, DegenerateConfiguration, io_failure
-from .linalg import (
-    eigenvalue_rank,
-    optimal_rotation,
-    right_multiply,
-    solve_sylvester_skew,
-)
+from .linalg import eigenvalue_rank, optimal_rotation, solve_sylvester_skew
 
 # Below this norm the exponential falls back to its first-order limit.
 _SMALL_ANGLE = 1e-9
@@ -27,7 +24,13 @@ _ANTIPODAL = 1e-10
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b))
+    return float((a * b).sum())
+
+
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a) of a float array, bit for bit, minus its wrapper."""
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
 
 
 def center(points: np.ndarray) -> np.ndarray:
@@ -41,7 +44,7 @@ def project_to_preshape(points: np.ndarray) -> np.ndarray:
     Invariant under translation of all landmarks and positive rescaling.
     """
     centered = center(np.asarray(points, dtype=float))
-    norm = np.linalg.norm(centered)
+    norm = _norm(centered)
     if norm <= 1e-12:
         raise DegenerateConfiguration("all landmarks coincide")
     return centered / norm
@@ -55,7 +58,7 @@ def configuration_rank(x: np.ndarray) -> int:
 
 def remove_radial(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """w minus its component along the unit-norm x."""
-    return w - np.sum(w * x, axis=(-2, -1), keepdims=True) * x
+    return w - (w * x).sum(axis=(-2, -1), keepdims=True) * x
 
 
 def to_tangent(x: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -68,23 +71,23 @@ def to_tangent(x: np.ndarray, raw: np.ndarray) -> np.ndarray:
 
 def exp(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Great-circle exponential: cos(|w|) x + sin(|w|) w/|w|."""
-    norm = np.linalg.norm(w)
+    norm = _norm(w)
     if norm < _SMALL_ANGLE:
         y = x + w
     else:
         y = np.cos(norm) * x + (np.sin(norm) / norm) * w
-    return y / np.linalg.norm(y)
+    return y / _norm(y)
 
 
 def log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Inverse of exp: tangent vector at x pointing to y, length dist(x, y)."""
-    cos_d = float(np.clip(frobenius_inner(x, y), -1.0, 1.0))
+    cos_d = min(max(frobenius_inner(x, y), -1.0), 1.0)
     if cos_d <= -1.0 + _ANTIPODAL:
         raise AntipodalPoints("log undefined at the cut locus")
     if cos_d > 1.0 - _COINCIDENT:
         return np.zeros_like(x)
     u = y - cos_d * x
-    norm_u = np.linalg.norm(u)
+    norm_u = _norm(u)
     # |u| = sin(theta); atan2 keeps the angle well-conditioned near 0,
     # where arccos loses half the significant digits.
     return np.arctan2(norm_u, cos_d) * u / norm_u
@@ -97,15 +100,15 @@ def dist(x: np.ndarray, y: np.ndarray) -> float:
     (and nearly antipodal) points, where arccos of the clamped inner
     product would lose half the digits.
     """
-    cos_d = float(np.clip(frobenius_inner(x, y), -1.0, 1.0))
-    sin_d = float(np.linalg.norm(y - cos_d * x))
+    cos_d = min(max(frobenius_inner(x, y), -1.0), 1.0)
+    sin_d = _norm(y - cos_d * x)
     return float(np.arctan2(sin_d, cos_d))
 
 
 def vertical_projection(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Component of w along the rotation fiber: A x with A from the
     Sylvester equation A(xx^T) + (xx^T)A = wx^T - xw^T."""
-    return right_multiply(solve_sylvester_skew(x, w), x)
+    return solve_sylvester_skew(x, w) @ x
 
 
 def horizontal_projection(x: np.ndarray, w: np.ndarray) -> np.ndarray:

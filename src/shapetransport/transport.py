@@ -14,7 +14,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import preshape, quotient
-from .linalg import right_multiply, solve_skew_sylvester
+from .linalg import solve_skew_sylvester
 
 # Explicit schemes as (c, b, d), nodes, weights and divisor. Each stage
 # reads only the one before it: stage j of step i evaluates the ODE at
@@ -57,7 +57,7 @@ def geodesic_state(x: np.ndarray, w: np.ndarray, s: float):
     gamma'(s) = cos(s|w|) w - |w| sin(s|w|) x. Horizontality of w is
     preserved along the curve.
     """
-    norm = np.linalg.norm(w)
+    norm = preshape._norm(w)
     if norm < 1e-12:
         return x.copy(), w.copy()
     angle = s * norm
@@ -76,10 +76,10 @@ def transport_ode_rhs(gamma: np.ndarray, gamma_dot: np.ndarray,
     ``v`` may be a stack (..., m, k) of vectors along the one state
     (gamma, gamma'); all of them share one Sylvester eigenbasis.
     """
-    v_gd = right_multiply(v, gamma_dot.T)
+    v_gd = v @ gamma_dot.T
     a = solve_skew_sylvester(gamma @ gamma.T, v_gd.swapaxes(-1, -2) - v_gd)
     radial = np.einsum("...ij,ij->...", v, gamma_dot)[..., None, None]
-    return right_multiply(a, gamma) - radial * gamma
+    return a @ gamma - radial * gamma
 
 
 def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
@@ -105,7 +105,9 @@ def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
             gamma, gamma_dot = state((i + c) * delta)
             k = transport_ode_rhs(
                 gamma, gamma_dot, v if k is None else v + c * delta * k)
-            step = b * k if step is None else step + b * k
+            if b:
+                bk = k if b == 1.0 else b * k
+                step = bk if step is None else step + bk
         v = v + (delta / divisor) * step
         if scheme == "euler":
             # No centring: span coordinates are not landmark columns.

@@ -91,6 +91,38 @@ class TestOptimalRotation:
         cert = x @ (r @ y).T
         assert np.linalg.norm(cert - cert.T) < 1e-10
 
+    @staticmethod
+    def kabsch(x, y):
+        # R = P diag(1, ..., 1, det(P Q^T)) Q^T, written out from the SVD
+        p, _, qt = np.linalg.svd(x @ y.T)
+        signs = np.ones(len(p))
+        signs[-1] = np.sign(np.linalg.det(p) * np.linalg.det(qt))
+        return (p * signs) @ qt, signs[-1]
+
+    @pytest.mark.parametrize("m, k", [(2, 3), (3, 4), (3, 12), (5, 8)])
+    def test_no_flip_is_the_kabsch_formula(self, rng, m, k):
+        for _ in range(10):
+            x = random_preshape(rng, m, k)
+            y = random_preshape(rng, m, k)
+            expected, sign = self.kabsch(x, y)
+            if sign < 0:
+                y = y[[1, 0, *range(2, m)]]  # a row swap flips the sign
+                expected, sign = self.kabsch(x, y)
+            assert sign > 0
+            assert np.array_equal(linalg.optimal_rotation(x, y), expected)
+
+    @pytest.mark.parametrize("m, k", [(2, 3), (3, 4), (3, 12), (5, 8)])
+    def test_flip_is_the_kabsch_formula(self, rng, m, k):
+        # y is a reflected copy of x, so det(x y^T) < 0 and R needs the flip
+        for _ in range(10):
+            x = random_preshape(rng, m, k)
+            y = np.diag([1.0] * (m - 1) + [-1.0]) @ x
+            expected, sign = self.kabsch(x, y)
+            assert sign < 0
+            r = linalg.optimal_rotation(x, y)
+            assert np.array_equal(r, expected)
+            assert np.linalg.det(r) > 0.0
+
     def test_ambiguous_alignment_raises(self):
         x = rank_one_preshape()
         with pytest.raises(AmbiguousAlignment):

@@ -103,6 +103,32 @@ class TestExpLogDist:
         with pytest.raises(AntipodalPoints):
             preshape.log(x, -x)
 
+    @staticmethod
+    def basis_pair(inner):
+        # x = E_11 and y = inner E_11, so <x, y> is exactly `inner`
+        x = np.zeros((3, 4))
+        x[0, 0] = 1.0
+        return x, inner * x
+
+    def test_inner_one_ulp_above_one(self):
+        x, y = self.basis_pair(np.nextafter(1.0, 2.0))
+        assert np.array_equal(preshape.log(x, y), np.zeros_like(x))
+        # clamped to 1: the distance is the gap |y - x| = 2^-52 itself
+        assert preshape.dist(x, y) == np.arctan2(2.0**-52, 1.0)
+
+    def test_inner_one_ulp_below_minus_one(self):
+        x, y = self.basis_pair(np.nextafter(-1.0, -2.0))
+        with pytest.raises(AntipodalPoints):
+            preshape.log(x, y)
+        assert preshape.dist(x, y) == np.arctan2(2.0**-52, -1.0)
+
+    def test_nan_inner_product_propagates(self, rng):
+        x = random_preshape(rng, 3, 4)
+        y = random_preshape(rng, 3, 4)
+        y[1, 2] = np.nan
+        assert np.isnan(preshape.log(x, y)).all()
+        assert np.isnan(preshape.dist(x, y))
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            norm=st.floats(1e-6, np.pi - 0.1))
@@ -117,6 +143,16 @@ class TestExpLogDist:
         w = 2.5 * random_tangent(rng, x)
         for t in np.linspace(0.0, 1.0, 100):
             assert abs(np.linalg.norm(preshape.exp(x, t * w)) - 1.0) <= 1e-12
+
+
+class TestNorm:
+    @pytest.mark.parametrize("layout", ["c", "transposed", "sliced", "stack"])
+    def test_matches_numpy_bit_for_bit(self, rng, layout):
+        for _ in range(20):
+            a = rng.standard_normal((7, 301)) * rng.uniform(1e-3, 1e3, 301)
+            a = {"c": a, "transposed": a.T, "sliced": a[1::2, ::3],
+                 "stack": a.reshape(7, 7, 43)}[layout]
+            assert preshape._norm(a) == np.linalg.norm(a)
 
 
 class TestVerticalHorizontal:

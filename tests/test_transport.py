@@ -185,8 +185,8 @@ class TestStackedKernels:
     the vectors gives."""
 
     @pytest.mark.parametrize("kernel", [
-        "transport_ode_rhs", "solve_skew_sylvester", "to_tangent",
-        "horizontal_projection"])
+        "transport_ode_rhs", "solve_skew_sylvester", "solve_sylvester_skew",
+        "to_tangent", "vertical_projection", "horizontal_projection"])
     def test_stack_matches_a_loop(self, rng, kernel):
         x = random_preshape(rng, 3, 5)
         gamma, gamma_dot = transport.geodesic_state(
@@ -196,7 +196,11 @@ class TestStackedKernels:
                 gamma, gamma_dot, v),
             "solve_skew_sylvester": lambda v: linalg.solve_skew_sylvester(
                 gamma @ gamma.T, v @ gamma.T - gamma @ np.swapaxes(v, -1, -2)),
+            "solve_sylvester_skew": lambda v: linalg.solve_sylvester_skew(
+                gamma, v),
             "to_tangent": lambda v: preshape.to_tangent(gamma, v),
+            "vertical_projection": lambda v: preshape.vertical_projection(
+                gamma, v),
             "horizontal_projection": lambda v: preshape.horizontal_projection(
                 gamma, v),
         }[kernel]

@@ -2,8 +2,8 @@
 
 Symmetric-coefficient skew Sylvester solver and the SVD-based optimal
 rotation (rotation-only Procrustes). Design envelope is m <= 10. The
-Sylvester solvers take a stack (..., m, k) of right-hand sides; products
-of a stack with one matrix are plain broadcasting `@`, with no reshaping
+Sylvester solvers take stacks (..., m, k) of right-hand sides and of
+points; stacked products are plain broadcasting `@`, with no reshaping
 helper.
 """
 
@@ -15,9 +15,15 @@ from .errors import AmbiguousAlignment, RankDeficient
 RANK_RTOL = 1e-9
 
 
-def eigenvalue_rank(lam: np.ndarray) -> int:
+def eigenvalue_rank(lam: np.ndarray):
     """Numerical rank of a positive semi-definite matrix from its ascending
-    eigenvalues: the count not below RANK_RTOL times the largest."""
+    eigenvalues: the count not below RANK_RTOL times the largest, 0 when the
+    largest is not positive. A stack (..., m) of eigenvalue rows gives the
+    array of their ranks."""
+    if lam.ndim > 1:
+        top = lam[..., -1:]
+        rank = lam.shape[-1] - np.count_nonzero(lam < RANK_RTOL * top, axis=-1)
+        return np.where(top[..., 0] <= 0.0, 0, rank)
     if lam[-1] <= 0.0:
         return 0
     return len(lam) - np.count_nonzero(lam < RANK_RTOL * lam[-1])
@@ -27,30 +33,41 @@ def solve_skew_sylvester(sym: np.ndarray, rhs_skew: np.ndarray) -> np.ndarray:
     """Solve A @ S + S @ A = B for skew-symmetric A.
 
     S = ``sym`` must be symmetric positive semi-definite with at most one
-    (near-)zero eigenvalue, B = ``rhs_skew`` skew-symmetric, or a stack
-    (..., m, m) of such right-hand sides that share S. Solved in the
+    (near-)zero eigenvalue, B = ``rhs_skew`` skew-symmetric. Either may be a
+    stack (..., m, m); the two stacks broadcast, and one S serves all the
+    right-hand sides stacked against it with one eigh. Solved in the
     eigenbasis of S: with S = U diag(lam) U^T, the transformed solution has
     entries B~_ij / (lam_i + lam_j) off the diagonal and zeros on it.
     """
     lam, u = np.linalg.eigh(sym)
-    if lam[-1] <= 0.0 or eigenvalue_rank(lam) < len(lam) - 1:
+    m = lam.shape[-1]
+    if lam.ndim > 1:
+        # rank 0 stands for a largest eigenvalue that is not positive
+        deficient = eigenvalue_rank(lam).min() < max(m - 1, 1)
+    else:
+        deficient = lam[-1] <= 0.0 or eigenvalue_rank(lam) < m - 1
+    if deficient:
         raise RankDeficient(
             "two or more eigenvalues below tolerance; rank < m-1"
         )
-    denom = lam[:, None] + lam
-    denom.flat[::len(lam) + 1] = np.inf  # the solution's diagonal is 0
-    a = u @ (u.T @ rhs_skew @ u / denom) @ u.T
+    denom = lam[..., None] + lam[..., None, :]
+    # the solution's diagonal is 0
+    denom.reshape(-1, m * m)[:, ::m + 1] = np.inf
+    ut = u.swapaxes(-1, -2)
+    a = u @ (ut @ rhs_skew @ u / denom) @ ut
     return 0.5 * (a - a.swapaxes(-1, -2))
 
 
 def solve_sylvester_skew(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Skew-symmetric A with A(xx^T) + (xx^T)A = wx^T - xw^T.
 
-    ``x`` is an m-by-k pre-shape of rank >= m-1, ``w`` any m-by-k matrix or
-    a stack (..., m, k) of them; the result has the shape of the stack.
+    ``x`` is an m-by-k pre-shape of rank >= m-1 and ``w`` any m-by-k matrix;
+    either may be a stack (..., m, k), and the result has the broadcast
+    shape of the two stacks.
     """
-    wx = w @ x.T
-    return solve_skew_sylvester(x @ x.T, wx - wx.swapaxes(-1, -2))
+    xt = x.swapaxes(-1, -2)
+    wx = w @ xt
+    return solve_skew_sylvester(x @ xt, wx - wx.swapaxes(-1, -2))
 
 
 def optimal_rotation(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ tangent projection, the vertical/horizontal split and the align map.
 Points and tangent vectors are plain m-by-k numpy arrays; columns are
 landmarks in R^m. `center`, `remove_radial`, `to_tangent` and the
 vertical and horizontal projections also take a stack (..., m, k) of
-vectors at one point; their products with the point broadcast with `@`.
+vectors, and all but `center` a stack of points; the two stacks broadcast
+against each other, and so do their products with `@`.
 """
 
 import math

@@ -9,7 +9,7 @@ along one geodesic apply an operator of side m * min(k, 2m).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -55,7 +55,9 @@ def geodesic_state(x: np.ndarray, w: np.ndarray, s: float):
 
     gamma(s) = cos(s|w|) x + sin(s|w|) w/|w| and its analytic derivative
     gamma'(s) = cos(s|w|) w - |w| sin(s|w|) x. Horizontality of w is
-    preserved along the curve.
+    preserved along the curve. An array s of shape (..., 1, 1) gives the
+    states at every s stacked along its leading axes, except for a w of
+    (near-)zero norm, whose constant state is returned once.
     """
     norm = preshape._norm(w)
     if norm < 1e-12:
@@ -73,12 +75,14 @@ def transport_ode_rhs(gamma: np.ndarray, gamma_dot: np.ndarray,
     v' = -Tr(gamma' v^T) gamma + A gamma, with skew A solving
     A (gamma gamma^T) + (gamma gamma^T) A = gamma' v^T - v gamma'^T.
 
-    ``v`` may be a stack (..., m, k) of vectors along the one state
-    (gamma, gamma'); all of them share one Sylvester eigenbasis.
+    ``v`` may be a stack (..., m, k) of vectors, and (gamma, gamma') a
+    stack of states; the stacks broadcast, and the vectors stacked against
+    one state share its Sylvester eigenbasis.
     """
-    v_gd = v @ gamma_dot.T
-    a = solve_skew_sylvester(gamma @ gamma.T, v_gd.swapaxes(-1, -2) - v_gd)
-    radial = np.einsum("...ij,ij->...", v, gamma_dot)[..., None, None]
+    v_gd = v @ gamma_dot.swapaxes(-1, -2)
+    a = solve_skew_sylvester(gamma @ gamma.swapaxes(-1, -2),
+                             v_gd.swapaxes(-1, -2) - v_gd)
+    radial = np.einsum("...ij,...ij->...", v, gamma_dot)[..., None, None]
     return a @ gamma - radial * gamma
 
 
@@ -117,19 +121,81 @@ def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
     return v
 
 
+# Steps per block of the operator build. The build's transient arrays hold
+# the maps of one block, so its memory does not grow with n.
+_BLOCK = 16
+
+
+def _step_maps(x: np.ndarray, w: np.ndarray, n: int, scheme: str,
+               steps: np.ndarray) -> np.ndarray:
+    """Maps M_i, a stack (len(steps), x.size, x.size), of the given steps
+    i of _integrate on flattened vectors: step i takes v to v @ M_i.
+
+    The right-hand side is linear in v: at abscissa s it is v @ L(s). One
+    transport_ode_rhs call on the unit matrices gives L at every abscissa
+    the steps read, and each step's map follows from the scheme's table:
+    K_1 = L(c_1), K_j = (I + c_j delta K_{j-1}) L(c_j) and
+    M = I + delta/d sum_j b_j K_j. Euler then multiplies M by the map of its
+    two projections at the end of the step.
+    """
+    nodes, weights, divisor = SCHEMES[scheme]
+    size = x.size
+    eye = np.eye(size)
+    units = eye.reshape(size, *x.shape)
+    delta = 1.0 / n
+    # Abscissae a step reads, in steps from its start: the nodes, and the
+    # end of the step for Euler's projections.
+    offsets = sorted({*nodes, *((1.0,) if scheme == "euler" else ())})
+    fractions, at = np.unique(steps[:, None] + offsets, return_inverse=True)
+    at = at.reshape(len(steps), len(offsets))
+    # A w of zero norm gives one constant state instead of a stack.
+    gamma, gamma_dot = (
+        np.broadcast_to(a, (len(fractions), 1, *x.shape))
+        for a in geodesic_state(
+            x, w, (fractions * delta)[:, None, None, None]))
+    maps = transport_ode_rhs(gamma, gamma_dot, units).reshape(-1, size, size)
+    k = step = None
+    for c, b in zip(nodes, weights):
+        node = maps[at[:, offsets.index(c)]]
+        k = node if k is None else node + (c * delta) * (k @ node)
+        if b:
+            bk = k if b == 1.0 else b * k
+            step = bk if step is None else step + bk
+    step = eye + (delta / divisor) * step
+    if scheme == "euler":
+        end = gamma[at[:, offsets.index(1.0)]]
+        project = preshape.horizontal_projection(
+            end, preshape.remove_radial(end, units))
+        step = step @ project.reshape(-1, size, size)
+    return step
+
+
+def _operator(x: np.ndarray, w: np.ndarray, n: int,
+              scheme: str) -> np.ndarray:
+    """Square matrix P of side x.size with v.reshape(-1) @ P what
+    _integrate(x, w, v, n, scheme) gives, to rounding, for every v of the
+    shape of x: the product of the step maps, built _BLOCK steps at a time.
+    """
+    op = np.eye(x.size)
+    for start in range(0, n, _BLOCK):
+        steps = np.arange(start, min(start + _BLOCK, n))
+        op = reduce(np.matmul, _step_maps(x, w, n, scheme, steps), op)
+    return op
+
+
 def operator_break_even(size: int) -> int:
     """Calls in a row along one geodesic after which transport_integrated
     builds the transport operator instead of stepping; size is the side of
     that operator, m * min(k, 2m).
 
-    Ski rental: the operator costs about 1 + (size / 70)^2 single-vector
-    integrations (RK4, measured about 1.1 for m = 2 and 3, 1.6 for m = 5
-    and 10-12 for m = 10, whatever k), and it is built once the
-    calls have cost about as much, so a run of repeated calls costs at
-    most about twice the cheaper of the two ways. It is the second call
-    for every m <= 5 and the sixth for m = 10.
+    Ski rental: the operator costs about (size / 51)^2 single-vector
+    integrations, and a few tenths of one for small sizes (RK4 at n = 100,
+    measured 0.15-0.21, 0.29-0.32, 1.0-1.2 and 12-15 for m = 2, 3, 5 and
+    10, whatever k). It is built once the calls have cost about as much, so a run of
+    repeated calls costs at most about twice the cheaper of the two ways.
+    It is the second call for every m <= 5 and the 16th for m = 10.
     """
-    return 2 + (size // 70) ** 2
+    return max(2, 1 + size * size // 2600)
 
 
 # The geodesic of the last call (scheme, n and the bytes of x and w), the
@@ -149,11 +215,11 @@ def transport_integrated(problem: TransportProblem,
     result back as v + (moved - v @ y) @ y^T and projects it at the
     endpoint. A call steps v @ y itself, unless the calls just before it
     asked for the same geodesic: from the `operator_break_even`-th call in
-    a row on, it applies the (m min(k, 2m))-square operator P built once
-    from the unit matrices of the span and kept until a call asks for
-    another geodesic. The two paths round differently, so a result matches
-    the one of an earlier call to the last few ulps, not bit for bit, when
-    one of the calls stepped and the other used P.
+    a row on, it applies the (m min(k, 2m))-square operator P, built once
+    from the ODE's linear maps at every abscissa and kept until a call asks
+    for another geodesic. The two paths round differently, so a result
+    matches the one of an earlier call to the last few ulps, not bit for
+    bit, when one of the calls stepped and the other used P.
     """
     global _last
     if scheme not in SCHEMES:
@@ -169,9 +235,7 @@ def transport_integrated(problem: TransportProblem,
     _, calls, y, x_r, w_r, op = last
     calls += 1
     if op is None and calls >= operator_break_even(x_r.size):
-        size = x_r.size
-        units = np.eye(size).reshape(size, *x_r.shape)
-        op = _integrate(x_r, w_r, units, n, scheme).reshape(size, size)
+        op = _operator(x_r, w_r, n, scheme)
     _last = key, calls, y, x_r, w_r, op
     v_r = v @ y
     if op is None:

@@ -51,6 +51,42 @@ class TestSylvester:
         with pytest.raises(RankDeficient):
             linalg.solve_sylvester_skew(x, rng.standard_normal((3, 4)))
 
+    def test_one_rank_deficient_point_in_a_stack_raises(self, rng):
+        xs = np.array([random_preshape(rng, 3, 4), rank_one_preshape(),
+                       random_preshape(rng, 3, 4)])
+        w = rng.standard_normal((3, 4))
+        assert linalg.solve_sylvester_skew(xs[::2], w).shape == (2, 3, 3)
+        with pytest.raises(RankDeficient):
+            linalg.solve_sylvester_skew(xs, w)
+        sym = xs @ xs.swapaxes(-1, -2)
+        with pytest.raises(RankDeficient):
+            linalg.solve_skew_sylvester(sym[:, None], random_skew(rng, 3))
+
+    def test_stack_with_a_rank_m_minus_1_point_matches_a_loop(self, rng):
+        # a zero row gives xx^T an exactly zero eigenvalue, whose diagonal
+        # denominator must be infinite for every point of the stack
+        planar = random_preshape(rng, 3, 4)
+        planar[2] = 0.0
+        planar /= np.linalg.norm(planar)
+        xs = np.array([random_preshape(rng, 3, 4), planar])
+        w = rng.standard_normal((2, 5, 3, 4))
+        stacked = linalg.solve_sylvester_skew(xs[:, None], w)
+        looped = np.array([[linalg.solve_sylvester_skew(x, v) for v in row]
+                           for x, row in zip(xs, w)])
+        assert np.all(np.isfinite(looped))
+        assert np.abs(stacked - looped).max() <= 1e-14
+
+    def test_rank_of_a_stack_is_the_rank_of_each_row(self):
+        tol = linalg.RANK_RTOL
+        lam = np.array([[0.0, 0.99 * tol, 1.0], [0.0, 1.01 * tol, 1.0],
+                        [0.5, 0.7, 2.0], [0.0, 0.0, 0.0], [-2.0, -1.0, -0.5],
+                        [1e-30, 1e-20, 1e-9]])
+        ranks = [linalg.eigenvalue_rank(row) for row in lam]
+        assert ranks == [1, 2, 3, 0, 0, 1]
+        stacked = linalg.eigenvalue_rank(lam.reshape(2, 3, 3))
+        assert stacked.shape == (2, 3)
+        assert stacked.ravel().tolist() == ranks
+
 
 class TestOptimalRotation:
     def test_identity_case(self, rng):

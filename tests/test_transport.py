@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapetransport import bench, linalg, preshape, quotient, transport
+from shapetransport.errors import RankDeficient
 from shapetransport.transport import TransportProblem
 
 from conftest import random_horizontal, random_preshape, random_rotation
@@ -110,9 +114,10 @@ class TestIntegratedSchemes:
         # pins each tableau exactly: RK2 is the explicit midpoint rule, not
         # Heun, even though both are second order. The step runs in the
         # coordinates of an orthonormal basis y of the row span of x and w:
-        # a first call steps v @ y, the break-even call applies the step to
-        # the unit matrices of the span and computes v @ y @ P. Both agree
-        # with the step written out on the full m-by-k matrices.
+        # a first call steps v @ y, the break-even call computes v @ y @ P
+        # with P the step map composed from the ODE's linear maps at the
+        # nodes. Both agree with the step written out on the full m-by-k
+        # matrices.
         problem = make_problem(15, n=1)
         x, w, v = problem.x, problem.w, problem.v
         endpoint = preshape.exp(x, w)
@@ -142,10 +147,26 @@ class TestIntegratedSchemes:
         x_r, w_r, v_r = x @ y, w @ y, v @ y
         size = x_r.size
         assert transport.operator_break_even(size) == 2
-        units = np.eye(size).reshape(size, *x_r.shape)
-        radial = preshape.remove_radial
-        op = step(x_r, w_r, units, radial).reshape(size, size)
-        moved = (step(x_r, w_r, v_r, radial),
+        eye = np.eye(size)
+        units = eye.reshape(size, *x_r.shape)
+        # v @ l0, v @ lh and v @ l1 are the right-hand sides at s = 0, 1/2
+        # and 1 on flattened span coordinates
+        gamma, gamma_dot = transport.geodesic_state(
+            x_r, w_r, np.array([0.0, 0.5, 1.0])[:, None, None, None])
+        l0, lh, l1 = transport.transport_ode_rhs(
+            gamma, gamma_dot, units).reshape(3, size, size)
+        if scheme == "euler":
+            end = gamma[2]
+            op = (eye + l0) @ preshape.horizontal_projection(
+                end, preshape.remove_radial(end, units)).reshape(size, size)
+        elif scheme == "rk2":
+            op = eye + (lh + 0.5 * (l0 @ lh))
+        else:
+            k2 = lh + 0.5 * (l0 @ lh)
+            k3 = lh + 0.5 * (k2 @ lh)
+            k4 = l1 + k3 @ l1
+            op = eye + 1 / 6 * (l0 + 2 * k2 + 2 * k3 + k4)
+        moved = (step(x_r, w_r, v_r, preshape.remove_radial),
                  (v_r.reshape(-1) @ op).reshape(v_r.shape))
         full = at_endpoint(step(x, w, v, preshape.to_tangent))
         evict()
@@ -181,34 +202,47 @@ class TestIntegratedSchemes:
 
 
 class TestStackedKernels:
-    """A stack (..., m, k) of vectors at one point gives what a loop over
-    the vectors gives."""
+    """A stack (..., m, k) of vectors, at one point or against a stack of
+    points, gives what a loop over the points and vectors gives."""
 
     @pytest.mark.parametrize("kernel", [
         "transport_ode_rhs", "solve_skew_sylvester", "solve_sylvester_skew",
-        "to_tangent", "vertical_projection", "horizontal_projection"])
+        "remove_radial", "to_tangent", "vertical_projection",
+        "horizontal_projection"])
     def test_stack_matches_a_loop(self, rng, kernel):
-        x = random_preshape(rng, 3, 5)
-        gamma, gamma_dot = transport.geodesic_state(
-            x, random_horizontal(rng, x), 0.4)
+        def t(a):
+            return np.swapaxes(a, -1, -2)
+
         f = {
-            "transport_ode_rhs": lambda v: transport.transport_ode_rhs(
-                gamma, gamma_dot, v),
-            "solve_skew_sylvester": lambda v: linalg.solve_skew_sylvester(
-                gamma @ gamma.T, v @ gamma.T - gamma @ np.swapaxes(v, -1, -2)),
-            "solve_sylvester_skew": lambda v: linalg.solve_sylvester_skew(
-                gamma, v),
-            "to_tangent": lambda v: preshape.to_tangent(gamma, v),
-            "vertical_projection": lambda v: preshape.vertical_projection(
-                gamma, v),
-            "horizontal_projection": lambda v: preshape.horizontal_projection(
-                gamma, v),
+            "transport_ode_rhs": transport.transport_ode_rhs,
+            "solve_skew_sylvester": lambda g, d, v:
+                linalg.solve_skew_sylvester(g @ t(g), v @ t(g) - g @ t(v)),
+            "solve_sylvester_skew": lambda g, d, v:
+                linalg.solve_sylvester_skew(g, v),
+            "remove_radial": lambda g, d, v: preshape.remove_radial(g, v),
+            "to_tangent": lambda g, d, v: preshape.to_tangent(g, v),
+            "vertical_projection": lambda g, d, v:
+                preshape.vertical_projection(g, v),
+            "horizontal_projection": lambda g, d, v:
+                preshape.horizontal_projection(g, v),
         }[kernel]
+        # states on two geodesics, each against a row of four vectors
+        states = []
+        for s in (0.4, 0.9):
+            x = random_preshape(rng, 3, 5)
+            states.append(transport.geodesic_state(
+                x, random_horizontal(rng, x), s))
         stack = rng.standard_normal((2, 4, 3, 5))
-        stacked = f(stack)
-        looped = np.array([[f(v) for v in row] for row in stack])
-        assert stacked.shape == looped.shape
-        assert np.abs(stacked - looped).max() <= 1e-14
+        one_point = f(*states[0], stack)
+        looped = np.array([[f(*states[0], v) for v in row] for row in stack])
+        assert one_point.shape == looped.shape
+        assert np.abs(one_point - looped).max() <= 1e-14
+        gamma, gamma_dot = (np.array(a)[:, None] for a in zip(*states))
+        points = f(gamma, gamma_dot, stack)
+        looped = np.array([[f(*state, v) for v in row]
+                           for state, row in zip(states, stack)])
+        assert points.shape == looped.shape
+        assert np.abs(points - looped).max() <= 1e-14
 
 
 class TestOperator:
@@ -244,7 +278,7 @@ class TestOperator:
         assert transport.operator_break_even(8) == 2
         assert transport.operator_break_even(18) == 2
         assert transport.operator_break_even(50) == 2
-        assert transport.operator_break_even(200) == 6
+        assert transport.operator_break_even(200) == 16
 
     @pytest.mark.parametrize("k", [4, 30, 2000])
     def test_repeats_step_until_break_even_then_use_the_matrix(
@@ -262,6 +296,9 @@ class TestOperator:
             return rhs(*args)
 
         monkeypatch.setattr(transport, "transport_ode_rhs", counted)
+        # the build makes one call per block of steps, on all its abscissae,
+        # and n fits in one block
+        assert n <= transport._BLOCK
         # each round starts along another geodesic; the second must repeat
         # the first
         for _ in range(2):
@@ -271,7 +308,7 @@ class TestOperator:
                 rhs_calls.clear()
                 results.append(transport.transport_integrated(problem, "rk4"))
                 counts.append(len(rhs_calls))
-            assert counts == [4 * n, 4 * n, 0, 0]
+            assert counts == [4 * n, 1, 0, 0]
             assert transport._last[-1].shape == (side, side)
             for result in results:
                 assert np.array_equal(result.endpoint, preshape.exp(x, w))
@@ -279,6 +316,60 @@ class TestOperator:
             for result in results[2:]:
                 assert np.array_equal(result.transported, applied)
             assert np.abs(stepped - applied).max() < 1e-14
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk2", "rk4"])
+    @pytest.mark.parametrize("m,k", [(2, 3), (3, 12), (5, 40)])
+    def test_operator_is_the_integration_of_the_unit_matrices(
+            self, scheme, m, k):
+        problem = make_problem(23, m=m, k=k)
+        y = np.linalg.qr(np.concatenate([problem.x, problem.w]).T)[0]
+        x_r, w_r = problem.x @ y, problem.w @ y
+        size = x_r.size
+        units = np.eye(size).reshape(size, *x_r.shape)
+        for n in (1, 10, 37):
+            op = transport._operator(x_r, w_r, n, scheme)
+            integrated = transport._integrate(x_r, w_r, units, n, scheme)
+            assert np.abs(op - integrated.reshape(size, size)).max() <= 1e-13
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk2", "rk4"])
+    def test_zero_velocity_keeps_the_vector(self, scheme):
+        # w = 0 has one constant state, which the build broadcasts
+        problem = make_problem(26, k=12, n=20)
+        problem = TransportProblem(problem.x, np.zeros_like(problem.w),
+                                   problem.v, 20)
+        evict()
+        for _ in range(2):
+            result = transport.transport_integrated(problem, scheme)
+            assert np.abs(result.transported - problem.v).max() < 1e-15
+        assert transport._last[-1] is not None
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk2", "rk4"])
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_blocks_do_not_change_the_operator(self, scheme, block,
+                                               monkeypatch):
+        problem = make_problem(24, k=12, n=10)
+        y = np.linalg.qr(np.concatenate([problem.x, problem.w]).T)[0]
+        x_r, w_r = problem.x @ y, problem.w @ y
+        assert transport._BLOCK >= problem.n
+        whole = transport._operator(x_r, w_r, problem.n, scheme)
+        monkeypatch.setattr(transport, "_BLOCK", block)
+        blocked = transport._operator(x_r, w_r, problem.n, scheme)
+        assert np.abs(blocked - whole).max() <= 1e-14
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    def test_operator_memory_does_not_grow_with_n(self, scheme):
+        problem = make_problem(25, k=12)
+        y = np.linalg.qr(np.concatenate([problem.x, problem.w]).T)[0]
+        x_r, w_r = problem.x @ y, problem.w @ y
+        peaks = []
+        for n in (transport._BLOCK, 40 * transport._BLOCK):
+            tracemalloc.start()
+            try:
+                transport._operator(x_r, w_r, n, scheme)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_mutating_outputs_or_inputs_cannot_change_later_results(self):
         problem, other = make_problem(19), make_problem(20)
@@ -303,6 +394,48 @@ class TestOperator:
             other.x, problem.w, problem.v, problem.n), "rk4")
         assert np.array_equal(got.endpoint, want.endpoint)
         assert np.array_equal(got.transported, want.transported)
+
+
+@st.composite
+def geodesics(draw):
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(max(3, m), 12))
+    return m, k, draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 1))
+
+
+def sylvester_condition(problem, n):
+    """Largest ratio of the largest to the second-smallest eigenvalue of
+    gamma gamma^T over the half-step abscissae of n steps."""
+    s = np.arange(2 * n + 1) / (2 * n)
+    gamma, _ = transport.geodesic_state(problem.x, problem.w, s[:, None, None])
+    lam = np.linalg.eigvalsh(gamma @ gamma.swapaxes(-1, -2))
+    return (lam[:, -1] / lam[:, 1]).max()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(geodesics(), st.sampled_from(sorted(transport.SCHEMES)))
+def test_operator_agrees_with_stepping(geodesic, scheme):
+    # m <= 5 puts the break-even at the second call, which applies P. With
+    # k = m every configuration has rank m - 1, and a geodesic that passes
+    # near rank m - 2 makes the Sylvester solves ill-conditioned: there the
+    # two paths, each exact to rounding, agree to about 3e-17 times the
+    # condition number instead.
+    m, k, n, seed = geodesic
+    problem = make_problem(seed, m=m, k=k, n=n)
+    evict()
+    try:
+        stepped = transport.transport_integrated(problem, scheme)
+    except RankDeficient:
+        with pytest.raises(RankDeficient):
+            transport.transport_integrated(problem, scheme)
+        return
+    applied = transport.transport_integrated(problem, scheme)
+    assert transport._last[-1] is not None
+    tol = (max(1e-13, 1e-16 * sylvester_condition(problem, n))
+           * max(1.0, np.linalg.norm(problem.v)))
+    assert np.abs(applied.transported - stepped.transported).max() <= tol
+    assert preshape.is_horizontal(applied.endpoint, applied.transported,
+                                  tol=tol)
 
 
 class TestPoleLadder:

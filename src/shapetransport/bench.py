@@ -39,10 +39,12 @@ class ExperimentConfig:
         if self.m < 2 or self.k < max(3, self.m):
             raise ValueError("need m >= 2 and k >= max(3, m)")
         steps = tuple(self.step_counts)
-        if list(steps) != sorted(set(steps)) or steps[0] < 1:
+        if not steps or list(steps) != sorted(set(steps)) or steps[0] < 1:
             raise ValueError("step counts must be strictly increasing positives")
         if self.n_ref < steps[-1]:
             raise ValueError("n_ref must be at least the largest step count")
+        if not self.methods:
+            raise ValueError("need at least one method")
         unknown = set(self.methods) - set(transport.METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -66,8 +68,8 @@ class ConvergenceRecord:
     failed: bool = False
 
 
-def sample_problem(m: int, k: int, rng: np.random.Generator,
-                   n: int = 1) -> transport.TransportProblem:
+def sample_problem(m: int, k: int,
+                   rng: np.random.Generator) -> transport.TransportProblem:
     """Draw a random full-rank pre-shape with two orthonormal horizontal
     tangent vectors. Deterministic for a fixed generator state."""
     for _ in range(100):
@@ -89,7 +91,7 @@ def sample_problem(m: int, k: int, rng: np.random.Generator,
         if v_norm < 1e-6:
             continue
         v = v / v_norm
-        return transport.TransportProblem(x=x, w=w, v=v, n=n)
+        return transport.TransportProblem(x=x, w=w, v=v, n=1)
     raise SamplingFailed(f"no valid problem after 100 attempts (m={m}, k={k})")
 
 

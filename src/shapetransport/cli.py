@@ -56,7 +56,10 @@ _DEFAULTS = bench.ExperimentConfig()
 @click.option("--steps", callback=_parse_int_list, show_default=True,
               default=",".join(map(str, _DEFAULTS.step_counts)))
 @click.option("--ref-steps", "n_ref", type=int, default=_DEFAULTS.n_ref,
-              show_default=True)
+              show_default=True,
+              help="Steps of the RK4 reference. The references at n_ref and "
+              "2*n_ref must agree within 1e-10, or the run fails with "
+              "exit code 3.")
 @click.option("--methods", callback=_parse_methods,
               default=",".join(_DEFAULTS.methods), show_default=True)
 @click.option("--alpha", type=float, default=_DEFAULTS.alpha, show_default=True)

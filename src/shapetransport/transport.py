@@ -56,12 +56,11 @@ def geodesic_state(x: np.ndarray, w: np.ndarray, s: float):
     gamma(s) = cos(s|w|) x + sin(s|w|) w/|w| and its analytic derivative
     gamma'(s) = cos(s|w|) w - |w| sin(s|w|) x. Horizontality of w is
     preserved along the curve. An array s of shape (..., 1, 1) gives the
-    states at every s stacked along its leading axes, except for a w of
-    (near-)zero norm, whose constant state is returned once.
+    states at every s stacked along its leading axes.
     """
     norm = preshape._norm(w)
     if norm < 1e-12:
-        return x.copy(), w.copy()
+        return x + 0.0 * s, w + 0.0 * s
     angle = s * norm
     c, si = np.cos(angle), np.sin(angle)
     gamma = c * x + (si / norm) * w
@@ -86,6 +85,30 @@ def transport_ode_rhs(gamma: np.ndarray, gamma_dot: np.ndarray,
     return a @ gamma - radial * gamma
 
 
+def _step(v: np.ndarray, rhs, delta: float, scheme: str, project):
+    """One step of the scheme from v, a vector or a stack of vectors.
+
+    rhs(c, u) is the ODE's right-hand side on u at c steps from the start
+    of the step, and project(u) maps u to the horizontal space at its end,
+    which Euler does after every step.
+    """
+    nodes, weights, divisor = SCHEMES[scheme]
+    k = step = None
+    for c, b in zip(nodes, weights):
+        k = rhs(c, v if k is None else v + c * delta * k)
+        if b:
+            bk = k if b == 1.0 else b * k
+            step = bk if step is None else step + bk
+    v = v + (delta / divisor) * step
+    return project(v) if scheme == "euler" else v
+
+
+def _horizontal(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # No centring: span coordinates are not landmark columns.
+    return preshape.horizontal_projection(
+        gamma, preshape.remove_radial(gamma, v))
+
+
 def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
                scheme: str) -> np.ndarray:
     """Step v, one vector (m, r) or a stack (..., m, r), along
@@ -97,27 +120,16 @@ def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
     integrate the raw ODE with states evaluated on the exact geodesic. The
     caller projects the result at the endpoint.
     """
-    nodes, weights, divisor = SCHEMES[scheme]
     # A repeated abscissa shares one state: RK4's two midpoint stages, and
     # the end of a step (RK4's last stage, Euler's projection point) with
     # the start of the next.
     state = lru_cache(maxsize=1)(partial(geodesic_state, x, w))
     delta = 1.0 / n
     for i in range(n):
-        k = step = None
-        for c, b in zip(nodes, weights):
-            gamma, gamma_dot = state((i + c) * delta)
-            k = transport_ode_rhs(
-                gamma, gamma_dot, v if k is None else v + c * delta * k)
-            if b:
-                bk = k if b == 1.0 else b * k
-                step = bk if step is None else step + bk
-        v = v + (delta / divisor) * step
-        if scheme == "euler":
-            # No centring: span coordinates are not landmark columns.
-            gamma, _ = state((i + 1) * delta)
-            v = preshape.horizontal_projection(
-                gamma, preshape.remove_radial(gamma, v))
+        v = _step(
+            v, lambda c, u: transport_ode_rhs(*state((i + c) * delta), u),
+            delta, scheme,
+            lambda u: _horizontal(state((i + 1) * delta)[0], u))
     return v
 
 
@@ -133,41 +145,28 @@ def _step_maps(x: np.ndarray, w: np.ndarray, n: int, scheme: str,
 
     The right-hand side is linear in v: at abscissa s it is v @ L(s). One
     transport_ode_rhs call on the unit matrices gives L at every abscissa
-    the steps read, and each step's map follows from the scheme's table:
-    K_1 = L(c_1), K_j = (I + c_j delta K_{j-1}) L(c_j) and
-    M = I + delta/d sum_j b_j K_j. Euler then multiplies M by the map of its
-    two projections at the end of the step.
+    the steps read, and the maps are the same _step, applied to the
+    identity with right-hand side u @ L(s); Euler projects their rows.
     """
-    nodes, weights, divisor = SCHEMES[scheme]
     size = x.size
     eye = np.eye(size)
-    units = eye.reshape(size, *x.shape)
     delta = 1.0 / n
-    # Abscissae a step reads, in steps from its start: the nodes, and the
-    # end of the step for Euler's projections.
-    offsets = sorted({*nodes, *((1.0,) if scheme == "euler" else ())})
+    # Abscissae a step reads, in steps from its start: a dry run of _step
+    # on numbers lists the nodes, and the end of the step for Euler.
+    reads = set()
+    _step(0.0, lambda c, u: reads.add(c) or u, 0.0, scheme,
+          lambda u: reads.add(1.0) or u)
+    offsets = sorted(reads)
     fractions, at = np.unique(steps[:, None] + offsets, return_inverse=True)
     at = at.reshape(len(steps), len(offsets))
-    # A w of zero norm gives one constant state instead of a stack.
-    gamma, gamma_dot = (
-        np.broadcast_to(a, (len(fractions), 1, *x.shape))
-        for a in geodesic_state(
-            x, w, (fractions * delta)[:, None, None, None]))
-    maps = transport_ode_rhs(gamma, gamma_dot, units).reshape(-1, size, size)
-    k = step = None
-    for c, b in zip(nodes, weights):
-        node = maps[at[:, offsets.index(c)]]
-        k = node if k is None else node + (c * delta) * (k @ node)
-        if b:
-            bk = k if b == 1.0 else b * k
-            step = bk if step is None else step + bk
-    step = eye + (delta / divisor) * step
-    if scheme == "euler":
-        end = gamma[at[:, offsets.index(1.0)]]
-        project = preshape.horizontal_projection(
-            end, preshape.remove_radial(end, units))
-        step = step @ project.reshape(-1, size, size)
-    return step
+    gamma, gamma_dot = geodesic_state(
+        x, w, (fractions * delta)[:, None, None, None])
+    maps = transport_ode_rhs(gamma, gamma_dot, eye.reshape(size, *x.shape))
+    maps = maps.reshape(-1, size, size)
+    return _step(
+        eye, lambda c, u: u @ maps[at[:, offsets.index(c)]], delta, scheme,
+        lambda u: _horizontal(gamma[at[:, offsets.index(1.0)]],
+                              u.reshape(-1, size, *x.shape)).reshape(u.shape))
 
 
 def _operator(x: np.ndarray, w: np.ndarray, n: int,
@@ -191,9 +190,9 @@ def operator_break_even(size: int) -> int:
     Ski rental: the operator costs about (size / 51)^2 single-vector
     integrations, and a few tenths of one for small sizes (RK4 at n = 100,
     measured 0.15-0.21, 0.29-0.32, 1.0-1.2 and 12-15 for m = 2, 3, 5 and
-    10, whatever k). It is built once the calls have cost about as much, so a run of
-    repeated calls costs at most about twice the cheaper of the two ways.
-    It is the second call for every m <= 5 and the 16th for m = 10.
+    10, whatever k). It is built once the calls have cost about as much,
+    so repeated calls cost at most about twice the cheaper way: from the
+    second call on for every m <= 5, from the 16th for m = 10.
     """
     return max(2, 1 + size * size // 2600)
 

@@ -51,6 +51,8 @@ class TestConfigValidation:
         dict(alpha=0.5),
         dict(m=4, k=3),
         dict(methods=("euler", "euler")),
+        dict(step_counts=()),
+        dict(methods=()),
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -48,6 +48,17 @@ class TestRun:
         result = runner.invoke(main, bad)
         assert result.exit_code == 2
 
+    def test_coarse_reference_exits_3(self, runner):
+        # the RK4 references at n = 100 and 200 differ by about 2e-10
+        result = runner.invoke(main, ["run", "--trials", "1", "--steps",
+                                      "10,20,50", "--ref-steps", "100"])
+        assert result.exit_code == 3, result.output
+        failures = [line for line in result.output.splitlines()
+                    if line.startswith("numerical failure:")]
+        assert len(failures) == 1
+        assert "n_ref is too coarse" in failures[0]
+        assert "Traceback" not in result.output
+
     def test_defaults_are_the_config_defaults(self):
         params = run.make_context("run", []).params
         cfg = bench.ExperimentConfig()

@@ -115,8 +115,9 @@ class TestIntegratedSchemes:
         # Heun, even though both are second order. The step runs in the
         # coordinates of an orthonormal basis y of the row span of x and w:
         # a first call steps v @ y, the break-even call computes v @ y @ P
-        # with P the step map composed from the ODE's linear maps at the
-        # nodes. Both agree with the step written out on the full m-by-k
+        # with P the same step taken on the identity with right-hand side
+        # u @ L(s), the ODE's linear map at each node, and Euler projecting
+        # its rows. Both agree with the step written out on the full m-by-k
         # matrices.
         problem = make_problem(15, n=1)
         x, w, v = problem.x, problem.w, problem.v
@@ -155,17 +156,18 @@ class TestIntegratedSchemes:
             x_r, w_r, np.array([0.0, 0.5, 1.0])[:, None, None, None])
         l0, lh, l1 = transport.transport_ode_rhs(
             gamma, gamma_dot, units).reshape(3, size, size)
+        k1 = eye @ l0
         if scheme == "euler":
             end = gamma[2]
-            op = (eye + l0) @ preshape.horizontal_projection(
-                end, preshape.remove_radial(end, units)).reshape(size, size)
+            op = preshape.horizontal_projection(end, preshape.remove_radial(
+                end, (eye + k1).reshape(size, *x_r.shape))).reshape(size, size)
         elif scheme == "rk2":
-            op = eye + (lh + 0.5 * (l0 @ lh))
+            op = eye + (eye + 0.5 * k1) @ lh
         else:
-            k2 = lh + 0.5 * (l0 @ lh)
-            k3 = lh + 0.5 * (k2 @ lh)
-            k4 = l1 + k3 @ l1
-            op = eye + 1 / 6 * (l0 + 2 * k2 + 2 * k3 + k4)
+            k2 = (eye + 0.5 * k1) @ lh
+            k3 = (eye + 0.5 * k2) @ lh
+            k4 = (eye + k3) @ l1
+            op = eye + 1 / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         moved = (step(x_r, w_r, v_r, preshape.remove_radial),
                  (v_r.reshape(-1) @ op).reshape(v_r.shape))
         full = at_endpoint(step(x, w, v, preshape.to_tangent))

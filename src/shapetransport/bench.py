@@ -185,7 +185,7 @@ def write_csv(records, path) -> None:
 
 
 def read_csv(path) -> list:
-    """Parse a benchmark CSV written by write_csv."""
+    """Parse a benchmark CSV written by write_csv, which has records."""
     records = []
     with io_failure(path), open(path) as handle:
         for line in (ln.strip() for ln in handle):
@@ -199,6 +199,8 @@ def read_csv(path) -> list:
                 method=method, n=int(n), trial=int(trial), error=error,
                 m=int(m), k=int(k), seed=int(seed),
                 failed=not math.isfinite(error)))
+        if not records:
+            raise ValueError("no records")
     return records
 
 
@@ -217,7 +219,8 @@ def write_svg_loglog(records, path) -> None:
     """Log-log plot of the per-method median error curves.
 
     One polyline per method, decade grid lines, legend and axis labels.
-    Hand-written SVG so the bytes are stable for fixed input.
+    Hand-written SVG so the bytes are stable for fixed input. Records
+    none of which is above ERROR_FLOOR raise InsufficientData.
     """
     if not records:
         raise ValueError("no records to plot")
@@ -227,7 +230,8 @@ def write_svg_loglog(records, path) -> None:
         if curve:
             curves[method] = curve
     if not curves:
-        raise ValueError("no finite errors to plot")
+        raise InsufficientData(
+            f"no record above the error floor {ERROR_FLOOR:g} to plot")
 
     width, height = 720, 480
     left, right, top, bottom = 80, 150, 30, 60

@@ -28,7 +28,7 @@ class SamplingFailed(ShapeSpaceError):
 
 
 class InsufficientData(ShapeSpaceError):
-    """Not enough usable records to estimate a convergence order."""
+    """Too few usable records to estimate a convergence order or to plot."""
 
 
 class ReferenceInconsistent(ShapeSpaceError):

@@ -9,7 +9,7 @@ along one geodesic apply an operator of side m * min(k, 2m).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -40,8 +40,8 @@ class TransportProblem:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("step count must be >= 1")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"step count must be an integer >= 1: {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,21 @@ def _horizontal(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
         gamma, preshape.remove_radial(gamma, v))
 
 
+# Steps per block. A block's states come from one geodesic_state call, and
+# the build's transient arrays hold one block's maps, whatever n is.
+_BLOCK = 16
+
+
+def _states(x: np.ndarray, w: np.ndarray, n: int, scheme: str,
+            start: int, stop: int):
+    """per, the rows per step, and the states (gamma, gamma') of steps
+    start to stop - 1 stacked on a leading axis: row per (i - start + c) is
+    the state c steps into step i. per is 1 for Euler, 2 with midpoints."""
+    per = 2 if any(c % 1 for c in SCHEMES[scheme][0]) else 1
+    s = np.arange(per * start, per * stop + 1) * (1.0 / per) * (1.0 / n)
+    return (per, *geodesic_state(x, w, s[:, None, None]))
+
+
 def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
                scheme: str) -> np.ndarray:
     """Step v, one vector (m, r) or a stack (..., m, r), along
@@ -117,56 +132,40 @@ def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
     x, w and v are in the coordinates of an orthonormal basis of a row
     space that holds x and w, so columns are not landmarks. Euler removes
     the radial and the vertical component after every step; the RK schemes
-    integrate the raw ODE with states evaluated on the exact geodesic. The
-    caller projects the result at the endpoint.
+    integrate the raw ODE with states evaluated on the exact geodesic, read
+    from one _states table per block of _BLOCK steps. The caller projects
+    the result at the endpoint.
     """
-    # A repeated abscissa shares one state: RK4's two midpoint stages, and
-    # the end of a step (RK4's last stage, Euler's projection point) with
-    # the start of the next.
-    state = lru_cache(maxsize=1)(partial(geodesic_state, x, w))
-    delta = 1.0 / n
-    for i in range(n):
-        v = _step(
-            v, lambda c, u: transport_ode_rhs(*state((i + c) * delta), u),
-            delta, scheme,
-            lambda u: _horizontal(state((i + 1) * delta)[0], u))
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        per, gamma, gamma_dot = _states(x, w, n, scheme, start, stop)
+        for row in range(0, per * (stop - start), per):
+            v = _step(v, lambda c, u: transport_ode_rhs(
+                gamma[row + int(per * c)], gamma_dot[row + int(per * c)], u),
+                1.0 / n, scheme, lambda u: _horizontal(gamma[row + per], u))
     return v
 
 
-# Steps per block of the operator build. The build's transient arrays hold
-# the maps of one block, so its memory does not grow with n.
-_BLOCK = 16
-
-
 def _step_maps(x: np.ndarray, w: np.ndarray, n: int, scheme: str,
-               steps: np.ndarray) -> np.ndarray:
-    """Maps M_i, a stack (len(steps), x.size, x.size), of the given steps
-    i of _integrate on flattened vectors: step i takes v to v @ M_i.
+               start: int, stop: int) -> np.ndarray:
+    """Maps M_i, a stack (stop - start, x.size, x.size), of steps start to
+    stop - 1 of _integrate on flattened vectors: step i takes v to v @ M_i.
 
     The right-hand side is linear in v: at abscissa s it is v @ L(s). One
-    transport_ode_rhs call on the unit matrices gives L at every abscissa
-    the steps read, and the maps are the same _step, applied to the
-    identity with right-hand side u @ L(s); Euler projects their rows.
+    transport_ode_rhs call on the unit matrices gives L at every row of the
+    block's _states table, and the maps are _step on the identity with
+    right-hand side u @ L(s) on strided slices of them; Euler projects rows.
     """
-    size = x.size
+    size, count = x.size, stop - start
     eye = np.eye(size)
-    delta = 1.0 / n
-    # Abscissae a step reads, in steps from its start: a dry run of _step
-    # on numbers lists the nodes, and the end of the step for Euler.
-    reads = set()
-    _step(0.0, lambda c, u: reads.add(c) or u, 0.0, scheme,
-          lambda u: reads.add(1.0) or u)
-    offsets = sorted(reads)
-    fractions, at = np.unique(steps[:, None] + offsets, return_inverse=True)
-    at = at.reshape(len(steps), len(offsets))
-    gamma, gamma_dot = geodesic_state(
-        x, w, (fractions * delta)[:, None, None, None])
-    maps = transport_ode_rhs(gamma, gamma_dot, eye.reshape(size, *x.shape))
+    per, gamma, gamma_dot = _states(x, w, n, scheme, start, stop)
+    maps = transport_ode_rhs(gamma[:, None], gamma_dot[:, None],
+                             eye.reshape(size, *x.shape))
     maps = maps.reshape(-1, size, size)
-    return _step(
-        eye, lambda c, u: u @ maps[at[:, offsets.index(c)]], delta, scheme,
-        lambda u: _horizontal(gamma[at[:, offsets.index(1.0)]],
-                              u.reshape(-1, size, *x.shape)).reshape(u.shape))
+    return _step(eye, lambda c, u: u @ maps[int(per * c)::per][:count],
+                 1.0 / n, scheme, lambda u: _horizontal(
+                     gamma[per::per][:count, None],
+                     u.reshape(-1, size, *x.shape)).reshape(u.shape))
 
 
 def _operator(x: np.ndarray, w: np.ndarray, n: int,
@@ -176,9 +175,10 @@ def _operator(x: np.ndarray, w: np.ndarray, n: int,
     shape of x: the product of the step maps, built _BLOCK steps at a time.
     """
     op = np.eye(x.size)
+    # A block's maps go straight into the fold: one block is alive at a time.
     for start in range(0, n, _BLOCK):
-        steps = np.arange(start, min(start + _BLOCK, n))
-        op = reduce(np.matmul, _step_maps(x, w, n, scheme, steps), op)
+        op = reduce(np.matmul, _step_maps(
+            x, w, n, scheme, start, min(start + _BLOCK, n)), op)
     return op
 
 

@@ -59,6 +59,19 @@ class TestRun:
         assert "n_ref is too coarse" in failures[0]
         assert "Traceback" not in result.output
 
+    def test_nothing_above_the_floor_to_plot_exits_3(self, runner, tmp_path):
+        # RK4 at n = n_ref is the reference itself: every error is 0
+        svg = tmp_path / "out.svg"
+        result = runner.invoke(main, [
+            "run", "--trials", "1", "--methods", "rk4", "--steps", "1100",
+            "--ref-steps", "1100", "--svg", str(svg)])
+        assert result.exit_code == 3, result.output
+        failures = [line for line in result.output.splitlines()
+                    if line.startswith("numerical failure:")]
+        assert len(failures) == 1
+        assert "Traceback" not in result.output
+        assert not svg.exists()
+
     def test_defaults_are_the_config_defaults(self):
         params = run.make_context("run", []).params
         cfg = bench.ExperimentConfig()
@@ -82,9 +95,15 @@ class TestOrder:
                                       str(tmp_path / "nope.csv")])
         assert result.exit_code == 2
 
-    def test_malformed_csv_exits_2(self, runner, tmp_path):
+    @pytest.mark.parametrize("text", [
+        pytest.param("method,n,trial,error,m,k,seed\nrk4,10,0\n",
+                     id="short-row"),
+        pytest.param("# rng=numpy-pcg64\nmethod,n,trial,error,m,k,seed\n",
+                     id="header-only"),
+    ])
+    def test_malformed_csv_exits_2(self, runner, tmp_path, text):
         csv = tmp_path / "bad.csv"
-        csv.write_text("method,n,trial,error,m,k,seed\nrk4,10,0\n")
+        csv.write_text(text)
         result = runner.invoke(main, ["order", "--csv", str(csv)])
         assert result.exit_code == 2
         assert "Error: " in result.output and str(csv) in result.output

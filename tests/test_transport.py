@@ -254,11 +254,16 @@ class TestOperator:
         with pytest.raises(ValueError, match="unknown scheme"):
             transport.transport_integrated(problem, "pole")
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
     def test_step_count_below_one_rejected(self, n):
         problem = make_problem(16)
         with pytest.raises(ValueError, match="step count"):
             TransportProblem(problem.x, problem.w, problem.v, n)
+
+    def test_numpy_integer_step_count_accepted(self):
+        problem = make_problem(16)
+        assert TransportProblem(problem.x, problem.w, problem.v,
+                                np.int64(3)).n == 3
 
     def test_isometry_on_the_horizontal_space(self):
         # the transports of an orthonormal horizontal basis at x stay
@@ -290,27 +295,35 @@ class TestOperator:
         # m = 3: the operator's side is 3 * min(k, 6) at any k
         side = 3 * min(k, 6)
         assert transport.operator_break_even(side) == 2
-        rhs_calls = []
-        rhs = transport.transport_ode_rhs
+        calls = {"transport_ode_rhs": [], "geodesic_state": []}
 
-        def counted(*args):
-            rhs_calls.append(1)
-            return rhs(*args)
+        def counting(name):
+            func = getattr(transport, name)
 
-        monkeypatch.setattr(transport, "transport_ode_rhs", counted)
-        # the build makes one call per block of steps, on all its abscissae,
+            def counted(*args):
+                calls[name].append(1)
+                return func(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(transport, name, counting(name))
+        # stepping and the build each read one table of states per block of
+        # steps, the build makes one call per block on all its abscissae,
         # and n fits in one block
         assert n <= transport._BLOCK
         # each round starts along another geodesic; the second must repeat
         # the first
         for _ in range(2):
             transport.transport_integrated(other, "rk4")
-            results, counts = [], []
+            results, counts, states = [], [], []
             for _ in range(4):
-                rhs_calls.clear()
+                for made in calls.values():
+                    made.clear()
                 results.append(transport.transport_integrated(problem, "rk4"))
-                counts.append(len(rhs_calls))
+                counts.append(len(calls["transport_ode_rhs"]))
+                states.append(len(calls["geodesic_state"]))
             assert counts == [4 * n, 1, 0, 0]
+            assert states == [1, 1, 0, 0]
             assert transport._last[-1].shape == (side, side)
             for result in results:
                 assert np.array_equal(result.endpoint, preshape.exp(x, w))
@@ -349,14 +362,26 @@ class TestOperator:
     @pytest.mark.parametrize("block", [1, 3])
     def test_blocks_do_not_change_the_operator(self, scheme, block,
                                                monkeypatch):
+        # the operator to rounding; stepping, whose blocks only group the
+        # states, bit for bit on one vector and on the unit stack
         problem = make_problem(24, k=12, n=10)
         y = np.linalg.qr(np.concatenate([problem.x, problem.w]).T)[0]
-        x_r, w_r = problem.x @ y, problem.w @ y
+        x_r, w_r, v_r = problem.x @ y, problem.w @ y, problem.v @ y
+        size = x_r.size
+        vectors = (v_r, np.eye(size).reshape(size, *x_r.shape))
+
+        def run():
+            return (transport._operator(x_r, w_r, problem.n, scheme),
+                    *(transport._integrate(x_r, w_r, v, problem.n, scheme)
+                      for v in vectors))
+
         assert transport._BLOCK >= problem.n
-        whole = transport._operator(x_r, w_r, problem.n, scheme)
+        whole, *stepped = run()
         monkeypatch.setattr(transport, "_BLOCK", block)
-        blocked = transport._operator(x_r, w_r, problem.n, scheme)
+        blocked, *stepped_blocked = run()
         assert np.abs(blocked - whole).max() <= 1e-14
+        for got, want in zip(stepped_blocked, stepped, strict=True):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("scheme", ["euler", "rk4"])
     def test_operator_memory_does_not_grow_with_n(self, scheme):

@@ -35,10 +35,14 @@ class ExperimentConfig:
     trials: int = 10
 
     def __post_init__(self):
+        steps = tuple(self.step_counts)
+        counts = (self.m, self.k, self.n_ref, self.trials, *steps)
+        if not all(isinstance(c, (int, np.integer)) for c in counts):
+            raise ValueError("m, k, n_ref, trials and step counts must be "
+                             f"integers: {counts!r}")
         # A centred configuration has rank <= k-1, and it must reach m-1.
         if self.m < 2 or self.k < max(3, self.m):
             raise ValueError("need m >= 2 and k >= max(3, m)")
-        steps = tuple(self.step_counts)
         if not steps or list(steps) != sorted(set(steps)) or steps[0] < 1:
             raise ValueError("step counts must be strictly increasing positives")
         if self.n_ref < steps[-1]:
@@ -50,8 +54,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("methods must not repeat")
-        if self.alpha < 1.0:
-            raise ValueError("alpha must be >= 1")
+        if not 1.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 1: {self.alpha!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
 

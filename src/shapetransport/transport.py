@@ -32,7 +32,7 @@ METHODS = (*SCHEMES, "pole")
 @dataclass(frozen=True)
 class TransportProblem:
     """Transport the horizontal vector v along the geodesic t -> exp(x, t w),
-    t in [0, 1], using n steps (or ladder rungs)."""
+    t in [0, 1], in n >= 1 steps (or ladder rungs); x, w and v are m-by-k."""
 
     x: np.ndarray
     w: np.ndarray
@@ -42,6 +42,9 @@ class TransportProblem:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"step count must be an integer >= 1: {self.n!r}")
+        shapes = [np.shape(a) for a in (self.x, self.w, self.v)]
+        if len(shapes[0]) != 2 or shapes.count(shapes[0]) != 3:
+            raise ValueError(f"x, w and v need one 2-D shape: {shapes}")
 
 
 @dataclass(frozen=True)
@@ -114,14 +117,15 @@ def _horizontal(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
 _BLOCK = 16
 
 
-def _states(x: np.ndarray, w: np.ndarray, n: int, scheme: str,
-            start: int, stop: int):
-    """per, the rows per step, and the states (gamma, gamma') of steps
-    start to stop - 1 stacked on a leading axis: row per (i - start + c) is
-    the state c steps into step i. per is 1 for Euler, 2 with midpoints."""
+def _blocks(x: np.ndarray, w: np.ndarray, n: int, scheme: str):
+    """Yield (per, count, gamma, gamma') for each block of _BLOCK steps: per
+    rows per step (2 with midpoints, else 1), count steps, and the states of
+    one geodesic_state call, row per (i + c) c steps into its step i."""
     per = 2 if any(c % 1 for c in SCHEMES[scheme][0]) else 1
-    s = np.arange(per * start, per * stop + 1) * (1.0 / per) * (1.0 / n)
-    return (per, *geodesic_state(x, w, s[:, None, None]))
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        s = np.arange(per * start, per * stop + 1) * (1.0 / per) * (1.0 / n)
+        yield per, stop - start, *geodesic_state(x, w, s[:, None, None])
 
 
 def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
@@ -133,52 +137,47 @@ def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
     space that holds x and w, so columns are not landmarks. Euler removes
     the radial and the vertical component after every step; the RK schemes
     integrate the raw ODE with states evaluated on the exact geodesic, read
-    from one _states table per block of _BLOCK steps. The caller projects
-    the result at the endpoint.
+    from _blocks. The caller projects the result at the endpoint.
     """
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        per, gamma, gamma_dot = _states(x, w, n, scheme, start, stop)
-        for row in range(0, per * (stop - start), per):
+    for per, count, gamma, gamma_dot in _blocks(x, w, n, scheme):
+        for row in range(0, per * count, per):
             v = _step(v, lambda c, u: transport_ode_rhs(
                 gamma[row + int(per * c)], gamma_dot[row + int(per * c)], u),
                 1.0 / n, scheme, lambda u: _horizontal(gamma[row + per], u))
     return v
 
 
-def _step_maps(x: np.ndarray, w: np.ndarray, n: int, scheme: str,
-               start: int, stop: int) -> np.ndarray:
-    """Maps M_i, a stack (stop - start, x.size, x.size), of steps start to
-    stop - 1 of _integrate on flattened vectors: step i takes v to v @ M_i.
+def _step_maps(n: int, scheme: str, per: int, count: int, gamma: np.ndarray,
+               gamma_dot: np.ndarray) -> np.ndarray:
+    """Maps M_i, a stack (count, size, size), of the steps of one block of
+    _blocks, on flattened vectors of size size: step i takes v to v @ M_i.
 
     The right-hand side is linear in v: at abscissa s it is v @ L(s). One
     transport_ode_rhs call on the unit matrices gives L at every row of the
-    block's _states table, and the maps are _step on the identity with
-    right-hand side u @ L(s) on strided slices of them; Euler projects rows.
+    block, and the maps are _step on the identity with right-hand side
+    u @ L(s) on strided slices of them; Euler projects rows.
     """
-    size, count = x.size, stop - start
+    shape, size = gamma.shape[1:], gamma[0].size
     eye = np.eye(size)
-    per, gamma, gamma_dot = _states(x, w, n, scheme, start, stop)
     maps = transport_ode_rhs(gamma[:, None], gamma_dot[:, None],
-                             eye.reshape(size, *x.shape))
+                             eye.reshape(size, *shape))
     maps = maps.reshape(-1, size, size)
     return _step(eye, lambda c, u: u @ maps[int(per * c)::per][:count],
                  1.0 / n, scheme, lambda u: _horizontal(
                      gamma[per::per][:count, None],
-                     u.reshape(-1, size, *x.shape)).reshape(u.shape))
+                     u.reshape(-1, size, *shape)).reshape(u.shape))
 
 
 def _operator(x: np.ndarray, w: np.ndarray, n: int,
               scheme: str) -> np.ndarray:
     """Square matrix P of side x.size with v.reshape(-1) @ P what
     _integrate(x, w, v, n, scheme) gives, to rounding, for every v of the
-    shape of x: the product of the step maps, built _BLOCK steps at a time.
+    shape of x: the product of the step maps of each block from _blocks.
     """
     op = np.eye(x.size)
     # A block's maps go straight into the fold: one block is alive at a time.
-    for start in range(0, n, _BLOCK):
-        op = reduce(np.matmul, _step_maps(
-            x, w, n, scheme, start, min(start + _BLOCK, n)), op)
+    for block in _blocks(x, w, n, scheme):
+        op = reduce(np.matmul, _step_maps(n, scheme, *block), op)
     return op
 
 
@@ -256,8 +255,8 @@ def pole_ladder(problem: TransportProblem, alpha: float = 2.0) -> TransportResul
     using quotient geodesics (alignment + sphere log) for the diagonals.
     The final log at the endpoint is rescaled by n^alpha with sign (-1)^n.
     """
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
+    if not 1.0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and >= 1: {alpha!r}")
     x, w, v, n = problem.x, problem.w, problem.v, problem.n
     scale = float(n) ** alpha
 

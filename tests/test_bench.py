@@ -53,10 +53,23 @@ class TestConfigValidation:
         dict(methods=("euler", "euler")),
         dict(step_counts=()),
         dict(methods=()),
+        dict(alpha=float("nan")),
+        dict(alpha=float("inf")),
+        dict(m=3.0),
+        dict(k=4.5),
+        dict(trials=2.5),
+        dict(n_ref=1100.5),
+        dict(step_counts=(10, 20.5)),
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             bench.ExperimentConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = bench.ExperimentConfig(
+            m=np.int64(3), k=np.int32(4), step_counts=(np.int64(10), 20),
+            n_ref=np.int64(1100), trials=np.int64(2))
+        assert (cfg.m, cfg.k, cfg.n_ref, cfg.trials) == (3, 4, 1100, 2)
 
 
 class TestRunConvergence:

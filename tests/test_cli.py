@@ -43,6 +43,8 @@ class TestRun:
         ["run", "--steps", "10,20", "--ref-steps", "15"],
         ["run", "--alpha", "0.5"],
         ["run", "--m", "4", "--k", "3"],
+        ["run", "--alpha", "nan"],
+        ["run", "--alpha", "inf"],
     ])
     def test_validation_failures_exit_2(self, runner, bad):
         result = runner.invoke(main, bad)
@@ -194,7 +196,7 @@ class TestTransportCommand:
 
     @pytest.mark.parametrize("case", [
         "nan-input", "nan-vector", "non-numeric", "unwritable-output",
-        "zero-steps", "one-column"])
+        "zero-steps", "one-column", "pole-alpha-inf"])
     def test_bad_input_exits_2(self, runner, tmp_path, rng, case):
         _, _, _, paths = self.write_inputs(tmp_path, rng)
         extra = []
@@ -212,6 +214,8 @@ class TestTransportCommand:
             # landmarks on a line (m=1): there is no rotation group to factor
             for path in paths.values():
                 np.savetxt(path, rng.standard_normal((3, 1)), delimiter=",")
+        elif case == "pole-alpha-inf":
+            extra = ["--method", "pole", "--alpha", "inf"]
         else:
             extra = ["--steps", "0"]
         result = runner.invoke(main, [

@@ -260,6 +260,14 @@ class TestOperator:
         with pytest.raises(ValueError, match="step count"):
             TransportProblem(problem.x, problem.w, problem.v, n)
 
+    @pytest.mark.parametrize("cut", ["rows", "columns"])
+    def test_mismatched_shapes_rejected(self, cut):
+        # v[:1] and v[:, :1] would broadcast against x and w
+        problem = make_problem(16)
+        v = problem.v[:1] if cut == "rows" else problem.v[:, :1]
+        with pytest.raises(ValueError, match="shape"):
+            TransportProblem(problem.x, problem.w, v, 10)
+
     def test_numpy_integer_step_count_accepted(self):
         problem = make_problem(16)
         assert TransportProblem(problem.x, problem.w, problem.v,
@@ -290,8 +298,6 @@ class TestOperator:
     @pytest.mark.parametrize("k", [4, 30, 2000])
     def test_repeats_step_until_break_even_then_use_the_matrix(
             self, k, monkeypatch):
-        problem, other = make_problem(17, k=k, n=10), make_problem(18, k=k, n=10)
-        x, w, n = problem.x, problem.w, problem.n
         # m = 3: the operator's side is 3 * min(k, 6) at any k
         side = 3 * min(k, 6)
         assert transport.operator_break_even(side) == 2
@@ -307,30 +313,35 @@ class TestOperator:
 
         for name in calls:
             monkeypatch.setattr(transport, name, counting(name))
-        # stepping and the build each read one table of states per block of
-        # steps, the build makes one call per block on all its abscissae,
-        # and n fits in one block
-        assert n <= transport._BLOCK
-        # each round starts along another geodesic; the second must repeat
-        # the first
-        for _ in range(2):
-            transport.transport_integrated(other, "rk4")
-            results, counts, states = [], [], []
-            for _ in range(4):
-                for made in calls.values():
-                    made.clear()
-                results.append(transport.transport_integrated(problem, "rk4"))
-                counts.append(len(calls["transport_ode_rhs"]))
-                states.append(len(calls["geodesic_state"]))
-            assert counts == [4 * n, 1, 0, 0]
-            assert states == [1, 1, 0, 0]
-            assert transport._last[-1].shape == (side, side)
-            for result in results:
-                assert np.array_equal(result.endpoint, preshape.exp(x, w))
-            stepped, applied = results[0].transported, results[1].transported
-            for result in results[2:]:
-                assert np.array_equal(result.transported, applied)
-            assert np.abs(stepped - applied).max() < 1e-14
+        # stepping and the build each take one geodesic_state call per block
+        # of steps, and the build one transport_ode_rhs call per block:
+        # n = 10 fits in one block and n = 40 takes three
+        for n in (10, 40):
+            problem = make_problem(17, k=k, n=n)
+            other = make_problem(18, k=k, n=n)
+            x, w, blocks = problem.x, problem.w, -(-n // transport._BLOCK)
+            # each round starts along another geodesic; the second must
+            # repeat the first
+            for _ in range(2):
+                transport.transport_integrated(other, "rk4")
+                results, counts, states = [], [], []
+                for _ in range(4):
+                    for made in calls.values():
+                        made.clear()
+                    results.append(
+                        transport.transport_integrated(problem, "rk4"))
+                    counts.append(len(calls["transport_ode_rhs"]))
+                    states.append(len(calls["geodesic_state"]))
+                assert counts == [4 * n, blocks, 0, 0]
+                assert states == [blocks, blocks, 0, 0]
+                assert transport._last[-1].shape == (side, side)
+                for result in results:
+                    assert np.array_equal(result.endpoint, preshape.exp(x, w))
+                stepped = results[0].transported
+                applied = results[1].transported
+                for result in results[2:]:
+                    assert np.array_equal(result.transported, applied)
+                assert np.abs(stepped - applied).max() < 1e-14
 
     @pytest.mark.parametrize("scheme", ["euler", "rk2", "rk4"])
     @pytest.mark.parametrize("m,k", [(2, 3), (3, 12), (5, 40)])
@@ -474,8 +485,10 @@ class TestPoleLadder:
         assert np.linalg.norm(result.transported) < 1e-12
 
     def test_alpha_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            transport.pole_ladder(make_problem(6), alpha=0.5)
+        # and an alpha that is not finite, whose scale n^alpha is inf or nan
+        for alpha in (0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                transport.pole_ladder(make_problem(6), alpha=alpha)
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_planar_shapes_exact_in_one_step(self, k):
@@ -584,6 +597,36 @@ class TestEquivariance:
         assert np.abs(moved.endpoint - base.endpoint[:, perm]).max() < 1e-14
         assert (np.abs(moved.transported - base.transported[:, perm]).max()
                 < self.TOL[method])
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(geodesics(), st.sampled_from(transport.METHODS))
+    def test_random_sizes(self, geodesic, method):
+        # Both moves at random m and k. Rounding grows with the Sylvester
+        # condition, as in test_operator_agrees_with_stepping, and the
+        # ladder rescales its last log by n^alpha = n^2.
+        m, k, n, seed = geodesic
+        problem = make_problem(seed, m=m, k=k, n=n)
+        rng = np.random.default_rng(seed)
+        r, perm = random_rotation(rng, m), rng.permutation(k)
+        moves = ((lambda a: r @ a), (lambda a: a[:, perm]))
+        try:
+            base = transport.transport(problem, method)
+        except RankDeficient:
+            for move in moves:
+                with pytest.raises(RankDeficient):
+                    transport.transport(TransportProblem(
+                        move(problem.x), move(problem.w), move(problem.v), n),
+                        method)
+            return
+        tol = 1e-14 * sylvester_condition(problem, n) * (
+            n * n if method == "pole" else 1)
+        for move in moves:
+            moved = transport.transport(TransportProblem(
+                move(problem.x), move(problem.w), move(problem.v), n), method)
+            assert np.abs(moved.endpoint - move(base.endpoint)).max() < 1e-14
+            assert (np.abs(moved.transported - move(base.transported)).max()
+                    <= tol)
 
 
 class TestSingularStratum:

@@ -25,6 +25,13 @@ DEFAULT_STEPS = (10, 20, 50, 100, 200, 500, 1000)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One convergence sweep. Raises ValueError on a field out of range:
+    m, k, n_ref, trials and the step counts must be integers, the seed a
+    non-negative integer, and the pole ladder's scale n^alpha a finite
+    float at the largest step count (`transport.ladder_scale`). Any
+    iterable of step counts or methods is kept as a tuple, so a config
+    hashes and can be run more than once."""
+
     m: int = 3
     k: int = 4
     step_counts: tuple = DEFAULT_STEPS
@@ -35,11 +42,16 @@ class ExperimentConfig:
     trials: int = 10
 
     def __post_init__(self):
-        steps = tuple(self.step_counts)
+        steps, methods = tuple(self.step_counts), tuple(self.methods)
+        object.__setattr__(self, "step_counts", steps)
+        object.__setattr__(self, "methods", methods)
         counts = (self.m, self.k, self.n_ref, self.trials, *steps)
         if not all(isinstance(c, (int, np.integer)) for c in counts):
             raise ValueError("m, k, n_ref, trials and step counts must be "
                              f"integers: {counts!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer: {self.seed!r}")
         # A centred configuration has rank <= k-1, and it must reach m-1.
         if self.m < 2 or self.k < max(3, self.m):
             raise ValueError("need m >= 2 and k >= max(3, m)")
@@ -47,15 +59,14 @@ class ExperimentConfig:
             raise ValueError("step counts must be strictly increasing positives")
         if self.n_ref < steps[-1]:
             raise ValueError("n_ref must be at least the largest step count")
-        if not self.methods:
+        if not methods:
             raise ValueError("need at least one method")
-        unknown = set(self.methods) - set(transport.METHODS)
+        unknown = set(methods) - set(transport.METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
-        if len(set(self.methods)) != len(self.methods):
+        if len(set(methods)) != len(methods):
             raise ValueError("methods must not repeat")
-        if not 1.0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 1: {self.alpha!r}")
+        transport.ladder_scale(steps[-1], self.alpha)
         if self.trials < 1:
             raise ValueError("need at least one trial")
 

@@ -53,7 +53,8 @@ _DEFAULTS = bench.ExperimentConfig()
 @main.command()
 @click.option("--m", "m", type=int, default=_DEFAULTS.m, show_default=True)
 @click.option("--k", "k", type=int, default=_DEFAULTS.k, show_default=True)
-@click.option("--steps", callback=_parse_int_list, show_default=True,
+@click.option("--steps", "step_counts", callback=_parse_int_list,
+              show_default=True,
               default=",".join(map(str, _DEFAULTS.step_counts)))
 @click.option("--ref-steps", "n_ref", type=int, default=_DEFAULTS.n_ref,
               show_default=True,
@@ -67,17 +68,15 @@ _DEFAULTS = bench.ExperimentConfig()
 @click.option("--seed", type=int, default=_DEFAULTS.seed, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False), default=None)
-def run(m, k, steps, n_ref, methods, alpha, trials, seed, csv_path, svg_path):
+def run(csv_path, svg_path, **fields):
     """Run the convergence sweep and write CSV/SVG outputs."""
-    cfg = bench.ExperimentConfig(
-        m=m, k=k, step_counts=steps, methods=methods, n_ref=n_ref,
-        alpha=alpha, seed=seed, trials=trials)
+    cfg = bench.ExperimentConfig(**fields)
     records = bench.run_convergence(cfg)
     if csv_path:
         bench.write_csv(records, csv_path)
     if svg_path:
         bench.write_svg_loglog(records, svg_path)
-    for method in methods:
+    for method in cfg.methods:
         slope, residual = bench.estimate_order(records, method)
         click.echo(f"{method}: slope {slope:+.3f} (fit rms {residual:.3f})")
 

@@ -38,15 +38,14 @@ def solve_skew_sylvester(sym: np.ndarray, rhs_skew: np.ndarray) -> np.ndarray:
     right-hand sides stacked against it with one eigh. Solved in the
     eigenbasis of S: with S = U diag(lam) U^T, the transformed solution has
     entries B~_ij / (lam_i + lam_j) off the diagonal and zeros on it.
+    Raises RankDeficient when the rank of S (of any S in a stack), by
+    `eigenvalue_rank`, is below max(m - 1, 1).
     """
     lam, u = np.linalg.eigh(sym)
     m = lam.shape[-1]
-    if lam.ndim > 1:
-        # rank 0 stands for a largest eigenvalue that is not positive
-        deficient = eigenvalue_rank(lam).min() < max(m - 1, 1)
-    else:
-        deficient = lam[-1] <= 0.0 or eigenvalue_rank(lam) < m - 1
-    if deficient:
+    rank = eigenvalue_rank(lam)
+    # rank 0 stands for a largest eigenvalue that is not positive
+    if (rank.min() if lam.ndim > 1 else rank) < max(m - 1, 1):
         raise RankDeficient(
             "two or more eigenvalues below tolerance; rank < m-1"
         )

@@ -43,8 +43,12 @@ def project_to_preshape(points: np.ndarray) -> np.ndarray:
     """Center and normalize a raw landmark configuration.
 
     Invariant under translation of all landmarks and positive rescaling.
+    Raises ValueError on a non-finite entry (or norm).
     """
-    centered = center(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
+    if not math.isfinite(_norm(points)):
+        raise ValueError("landmarks need finite entries and norm")
+    centered = center(points)
     norm = _norm(centered)
     if norm <= 1e-12:
         raise DegenerateConfiguration("all landmarks coincide")

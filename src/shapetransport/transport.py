@@ -8,6 +8,7 @@ span coordinates whatever k is, and they are linear in the vector: repeats
 along one geodesic apply an operator of side m * min(k, 2m).
 """
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -32,7 +33,9 @@ METHODS = (*SCHEMES, "pole")
 @dataclass(frozen=True)
 class TransportProblem:
     """Transport the horizontal vector v along the geodesic t -> exp(x, t w),
-    t in [0, 1], in n >= 1 steps (or ladder rungs); x, w and v are m-by-k."""
+    t in [0, 1], in n >= 1 steps (or ladder rungs); x, w and v are m-by-k.
+    Raises ValueError unless n is an integer >= 1 and x, w and v share one
+    2-D shape and have finite entries (and norms)."""
 
     x: np.ndarray
     w: np.ndarray
@@ -45,6 +48,9 @@ class TransportProblem:
         shapes = [np.shape(a) for a in (self.x, self.w, self.v)]
         if len(shapes[0]) != 2 or shapes.count(shapes[0]) != 3:
             raise ValueError(f"x, w and v need one 2-D shape: {shapes}")
+        norms = map(preshape._norm, (self.x, self.w, self.v))
+        if not math.isfinite(sum(norms)):
+            raise ValueError("x, w and v need finite entries and norms")
 
 
 @dataclass(frozen=True)
@@ -89,19 +95,19 @@ def transport_ode_rhs(gamma: np.ndarray, gamma_dot: np.ndarray,
 
 
 def _step(v: np.ndarray, rhs, delta: float, scheme: str, project):
-    """One step of the scheme from v, a vector or a stack of vectors.
+    """One step of the scheme from v, a vector or a stack of vectors:
+    v + delta / d * sum_j b_j k_j over every stage, zero weights included
+    (0.0 + x and 1.0 * x are exact, so no weight needs a branch).
 
     rhs(c, u) is the ODE's right-hand side on u at c steps from the start
     of the step, and project(u) maps u to the horizontal space at its end,
     which Euler does after every step.
     """
     nodes, weights, divisor = SCHEMES[scheme]
-    k = step = None
+    k, step = None, 0.0
     for c, b in zip(nodes, weights):
         k = rhs(c, v if k is None else v + c * delta * k)
-        if b:
-            bk = k if b == 1.0 else b * k
-            step = bk if step is None else step + bk
+        step = step + b * k
     v = v + (delta / divisor) * step
     return project(v) if scheme == "euler" else v
 
@@ -247,6 +253,18 @@ def transport_integrated(problem: TransportProblem,
         transported=preshape.horizontal_projection(endpoint, transported))
 
 
+def ladder_scale(n: int, alpha: float) -> float:
+    """The pole ladder's scale n^alpha at n rungs. Raises ValueError unless
+    alpha is finite and >= 1 and n^alpha is a finite float."""
+    if 1.0 <= alpha < math.inf:
+        try:
+            return math.pow(n, alpha)
+        except OverflowError:
+            pass
+    raise ValueError("alpha must be finite and >= 1, with n^alpha a finite "
+                     f"float: alpha={alpha!r}, n={n}")
+
+
 def pole_ladder(problem: TransportProblem, alpha: float = 2.0) -> TransportResult:
     """Geodesic-parallelogram transport with n rungs.
 
@@ -255,10 +273,8 @@ def pole_ladder(problem: TransportProblem, alpha: float = 2.0) -> TransportResul
     using quotient geodesics (alignment + sphere log) for the diagonals.
     The final log at the endpoint is rescaled by n^alpha with sign (-1)^n.
     """
-    if not 1.0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be finite and >= 1: {alpha!r}")
     x, w, v, n = problem.x, problem.w, problem.v, problem.n
-    scale = float(n) ** alpha
+    scale = ladder_scale(n, alpha)
 
     endpoint = preshape.exp(x, w)
     # v is horizontal, so the quotient exponential is the sphere one.

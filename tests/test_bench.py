@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shapetransport import bench, preshape, transport
-from shapetransport.errors import InsufficientData
+from shapetransport.errors import InsufficientData, RankDeficient
 
 SMALL_CFG = bench.ExperimentConfig(
     m=3, k=4, step_counts=(10, 20, 50), methods=("euler", "rk4", "pole"),
@@ -60,6 +60,9 @@ class TestConfigValidation:
         dict(trials=2.5),
         dict(n_ref=1100.5),
         dict(step_counts=(10, 20.5)),
+        dict(alpha=400),
+        dict(seed=1.5),
+        dict(seed=-1),
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -70,6 +73,17 @@ class TestConfigValidation:
             m=np.int64(3), k=np.int32(4), step_counts=(np.int64(10), 20),
             n_ref=np.int64(1100), trials=np.int64(2))
         assert (cfg.m, cfg.k, cfg.n_ref, cfg.trials) == (3, 4, 1100, 2)
+
+    @pytest.mark.parametrize("make", [iter, list])
+    def test_iterable_fields_are_kept_as_tuples(self, make):
+        # an iterator would be spent by validation and a list is unhashable
+        cfg = bench.ExperimentConfig(step_counts=make((10, 20, 50)),
+                                     methods=make(("rk4",)), n_ref=200,
+                                     trials=1)
+        assert cfg.step_counts == (10, 20, 50) and cfg.methods == ("rk4",)
+        assert hash(cfg) == hash(bench.ExperimentConfig(
+            step_counts=(10, 20, 50), methods=("rk4",), n_ref=200, trials=1))
+        assert [r.n for r in bench.run_convergence(cfg)] == [10, 20, 50]
 
 
 class TestRunConvergence:
@@ -96,6 +110,31 @@ class TestRunConvergence:
 
     def test_no_failures_on_generic_problems(self, small_records):
         assert not any(r.failed for r in small_records)
+
+    def test_failing_method_records_nan(self, monkeypatch, tmp_path):
+        # a method that raises fails its own records; the others still run
+        def fail(*_args, **_kwargs):
+            raise RankDeficient("rank < m-1")
+
+        monkeypatch.setattr(transport, "pole_ladder", fail)
+        cfg = bench.ExperimentConfig(step_counts=(10, 20, 50),
+                                     methods=("rk4", "pole"), n_ref=200,
+                                     trials=1)
+        records = bench.run_convergence(cfg)
+        by_method = {m: [r for r in records if r.method == m]
+                     for m in cfg.methods}
+        assert [r.n for r in by_method["pole"]] == [10, 20, 50]
+        assert all(r.failed and math.isnan(r.error) for r in by_method["pole"])
+        assert [r.n for r in by_method["rk4"]] == [10, 20, 50]
+        assert not any(r.failed for r in by_method["rk4"])
+        path = tmp_path / "failed.csv"
+        bench.write_csv(records, path)
+        errors = {}
+        for line in path.read_text().splitlines()[2:]:
+            method, _, _, error, *_ = line.split(",")
+            errors.setdefault(method, []).append(error)
+        assert errors["pole"] == ["nan"] * 3
+        assert all(math.isfinite(float(e)) for e in errors["rk4"])
 
 
 class TestEstimateOrder:

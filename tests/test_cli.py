@@ -45,6 +45,8 @@ class TestRun:
         ["run", "--m", "4", "--k", "3"],
         ["run", "--alpha", "nan"],
         ["run", "--alpha", "inf"],
+        ["run", "--alpha", "400"],
+        ["run", "--seed", "-1"],
     ])
     def test_validation_failures_exit_2(self, runner, bad):
         result = runner.invoke(main, bad)
@@ -159,6 +161,21 @@ class TestTransportCommand:
             transport.TransportProblem(x_loaded, w_cli, v, 50), "rk4").transported
         assert np.allclose(got, expected, atol=1e-12)
 
+    def test_prints_the_output_csv_without_output(self, runner, tmp_path,
+                                                   rng, monkeypatch):
+        _, _, _, paths = self.write_inputs(tmp_path, rng)
+        args = ["transport", "--input", paths["input"], "--target",
+                paths["target"], "--vector", paths["vector"]]
+        out = tmp_path / "transported.csv"
+        written = runner.invoke(main, args + ["--output", str(out)])
+        # a repeat would apply the span operator, which rounds differently
+        monkeypatch.setattr(transport, "_last", None)
+        printed = runner.invoke(main, args)
+        assert written.exit_code == printed.exit_code == 0, printed.output
+        assert written.stdout == ""
+        assert printed.stdout == out.read_text()
+        assert printed.stderr == written.stderr
+
     def test_shape_mismatch_exits_2(self, runner, tmp_path, rng):
         _, _, _, paths = self.write_inputs(tmp_path, rng)
         bad = tmp_path / "bad.csv"
@@ -196,7 +213,7 @@ class TestTransportCommand:
 
     @pytest.mark.parametrize("case", [
         "nan-input", "nan-vector", "non-numeric", "unwritable-output",
-        "zero-steps", "one-column", "pole-alpha-inf"])
+        "zero-steps", "one-column", "pole-alpha-inf", "pole-alpha-overflow"])
     def test_bad_input_exits_2(self, runner, tmp_path, rng, case):
         _, _, _, paths = self.write_inputs(tmp_path, rng)
         extra = []
@@ -216,6 +233,9 @@ class TestTransportCommand:
                 np.savetxt(path, rng.standard_normal((3, 1)), delimiter=",")
         elif case == "pole-alpha-inf":
             extra = ["--method", "pole", "--alpha", "inf"]
+        elif case == "pole-alpha-overflow":
+            # 100^200 is beyond the float range
+            extra = ["--method", "pole", "--alpha", "200", "--steps", "100"]
         else:
             extra = ["--steps", "0"]
         result = runner.invoke(main, [

@@ -51,6 +51,14 @@ class TestSylvester:
         with pytest.raises(RankDeficient):
             linalg.solve_sylvester_skew(x, rng.standard_normal((3, 4)))
 
+    def test_one_by_one_needs_rank_one(self):
+        # the bound is max(m - 1, 1): a zero 1-by-1 S raises, alone or stacked
+        zero = np.zeros((1, 1))
+        for sym in (zero, np.array([np.eye(1), zero])):
+            with pytest.raises(RankDeficient):
+                linalg.solve_skew_sylvester(sym, zero)
+        assert linalg.solve_skew_sylvester(np.eye(1), zero).shape == (1, 1)
+
     def test_one_rank_deficient_point_in_a_stack_raises(self, rng):
         xs = np.array([random_preshape(rng, 3, 4), rank_one_preshape(),
                        random_preshape(rng, 3, 4)])

@@ -39,6 +39,13 @@ class TestProjection:
         with pytest.raises(DegenerateConfiguration):
             preshape.project_to_preshape(np.ones((3, 4)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_landmarks_rejected(self, rng, value):
+        points = rng.standard_normal((3, 4))
+        points[1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            preshape.project_to_preshape(points)
+
 
 class TestTangent:
     def test_radial_component_removed(self, rng):

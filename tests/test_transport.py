@@ -268,6 +268,16 @@ class TestOperator:
         with pytest.raises(ValueError, match="shape"):
             TransportProblem(problem.x, problem.w, v, 10)
 
+    @pytest.mark.parametrize("name,value", [
+        ("x", np.nan), ("w", np.inf), ("v", np.nan), ("v", -np.inf)])
+    def test_non_finite_arrays_rejected(self, name, value):
+        # NaN in v gave an all-NaN result, inf in w a raw LinAlgError
+        problem = make_problem(16)
+        arrays = {a: getattr(problem, a).copy() for a in "xwv"}
+        arrays[name][1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            TransportProblem(n=10, **arrays)
+
     def test_numpy_integer_step_count_accepted(self):
         problem = make_problem(16)
         assert TransportProblem(problem.x, problem.w, problem.v,
@@ -489,6 +499,9 @@ class TestPoleLadder:
         for alpha in (0.5, np.nan, np.inf):
             with pytest.raises(ValueError, match="alpha"):
                 transport.pole_ladder(make_problem(6), alpha=alpha)
+        # and one whose scale n^alpha = 100^200 overflows a float
+        with pytest.raises(ValueError, match="alpha"):
+            transport.pole_ladder(make_problem(6, n=100), alpha=200)
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_planar_shapes_exact_in_one_step(self, k):

@@ -18,7 +18,8 @@ from .linalg import eigenvalue_rank, optimal_rotation, solve_sylvester_skew
 
 # Below this norm the exponential falls back to its first-order limit.
 _SMALL_ANGLE = 1e-9
-# Inner products above 1 - this are treated as coincident points in log.
+# log treats points as coincident when |y - <x, y> x|, the sine of their
+# distance, is at most this.
 _COINCIDENT = 1e-14
 # Inner products at or below -1 + this raise AntipodalPoints.
 _ANTIPODAL = 1e-10
@@ -89,10 +90,11 @@ def log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     cos_d = min(max(frobenius_inner(x, y), -1.0), 1.0)
     if cos_d <= -1.0 + _ANTIPODAL:
         raise AntipodalPoints("log undefined at the cut locus")
-    if cos_d > 1.0 - _COINCIDENT:
-        return np.zeros_like(x)
     u = y - cos_d * x
     norm_u = _norm(u)
+    # A test on 1 - cos d would zero every distance below 1.4e-7.
+    if norm_u <= _COINCIDENT:
+        return np.zeros_like(x)
     # |u| = sin(theta); atan2 keeps the angle well-conditioned near 0,
     # where arccos loses half the significant digits.
     return np.arctan2(norm_u, cos_d) * u / norm_u

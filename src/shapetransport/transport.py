@@ -187,25 +187,10 @@ def _operator(x: np.ndarray, w: np.ndarray, n: int,
     return op
 
 
-def operator_break_even(size: int) -> int:
-    """Calls in a row along one geodesic after which transport_integrated
-    builds the transport operator instead of stepping; size is the side of
-    that operator, m * min(k, 2m).
-
-    Ski rental: the operator costs about (size / 51)^2 single-vector
-    integrations, and a few tenths of one for small sizes (RK4 at n = 100,
-    measured 0.15-0.21, 0.29-0.32, 1.0-1.2 and 12-15 for m = 2, 3, 5 and
-    10, whatever k). It is built once the calls have cost about as much,
-    so repeated calls cost at most about twice the cheaper way: from the
-    second call on for every m <= 5, from the 16th for m = 10.
-    """
-    return max(2, 1 + size * size // 2600)
-
-
-# The geodesic of the last call (scheme, n and the bytes of x and w), the
-# number of calls in a row that asked for it, its span (an orthonormal
-# basis y of the row span of x and w, x @ y and w @ y) and, from the
-# break-even call on, its transport operator in span coordinates.
+# The geodesic of the last call (scheme, n and the bytes of x and w), its
+# span (an orthonormal basis y of the row span of x and w, x @ y and w @ y)
+# and, once a call has repeated it, its transport operator in span
+# coordinates.
 _last = None
 
 
@@ -217,13 +202,13 @@ def transport_integrated(problem: TransportProblem,
     which lies in the row span of x and w. So the call integrates v @ y,
     with y an orthonormal k-by-min(k, 2m) basis of that span, lifts the
     result back as v + (moved - v @ y) @ y^T and projects it at the
-    endpoint. A call steps v @ y itself, unless the calls just before it
-    asked for the same geodesic: from the `operator_break_even`-th call in
-    a row on, it applies the (m min(k, 2m))-square operator P, built once
-    from the ODE's linear maps at every abscissa and kept until a call asks
-    for another geodesic. The two paths round differently, so a result
-    matches the one of an earlier call to the last few ulps, not bit for
-    bit, when one of the calls stepped and the other used P.
+    endpoint. A call steps v @ y itself, unless the call just before it
+    asked for the same geodesic: then it applies the (m min(k, 2m))-square
+    operator P, built from the ODE's linear maps at every abscissa by the
+    first such call and kept until a call asks for another geodesic. The two
+    paths round differently, so a result matches the one of an earlier call
+    to the last few ulps, not bit for bit, when one of the calls stepped and
+    the other used P.
     """
     global _last
     if scheme not in SCHEMES:
@@ -233,14 +218,14 @@ def transport_integrated(problem: TransportProblem,
     # One read and one write of the shared entry: a concurrent call can at
     # worst replace it, never hand this call another geodesic's operator.
     last = _last
-    if last is None or last[0] != key:
+    repeat = last is not None and last[0] == key
+    if not repeat:
         y = np.linalg.qr(np.concatenate([x, w]).T)[0]
-        last = key, 0, y, x @ y, w @ y, None
-    _, calls, y, x_r, w_r, op = last
-    calls += 1
-    if op is None and calls >= operator_break_even(x_r.size):
+        last = key, y, x @ y, w @ y, None
+    _, y, x_r, w_r, op = last
+    if repeat and op is None:
         op = _operator(x_r, w_r, n, scheme)
-    _last = key, calls, y, x_r, w_r, op
+    _last = key, y, x_r, w_r, op
     v_r = v @ y
     if op is None:
         moved = _integrate(x_r, w_r, v_r, n, scheme)

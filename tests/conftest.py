@@ -50,6 +50,24 @@ def rank_one_preshape(k=4):
     return x
 
 
+def planar_transport(x, w, v):
+    """Exact transport of the horizontal v along t -> exp(x, t w) for m = 2.
+
+    With z = x[0] + i x[1] in C^k, theta = |w| and u = w / theta, the part
+    of v complex-orthogonal to z and u stays put, and the complex multiples
+    of u turn with the velocity: P v = v + <u, v> (gamma'(1) / theta - u),
+    <u, v> Hermitian. This is the horizontal lift of the transport on
+    CP^(k-2) through the Hopf fibration.
+    """
+    theta = np.linalg.norm(w)
+    if theta == 0.0:
+        return v.copy()
+    z, u, vc = (a[0] + 1j * a[1] for a in (x, w / theta, v))
+    velocity = np.cos(theta) * u - np.sin(theta) * z
+    moved = vc + np.vdot(u, vc) * (velocity - u)
+    return np.array([moved.real, moved.imag])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

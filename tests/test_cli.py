@@ -176,6 +176,22 @@ class TestTransportCommand:
         assert printed.stdout == out.read_text()
         assert printed.stderr == written.stderr
 
+    def test_many_rung_ladder_keeps_the_vector(self, runner, tmp_path, rng):
+        # 4000 rungs at alpha = 2: the last log spans |v| / 4000^2 = 6e-8
+        x, w, _, paths = self.write_inputs(tmp_path, rng)
+        v = random_horizontal(rng, x)
+        np.savetxt(paths["vector"], v.T, delimiter=",")
+        result = runner.invoke(main, [
+            "transport", "--input", paths["input"], "--target",
+            paths["target"], "--vector", paths["vector"], "--method", "pole",
+            "--steps", "4000"])
+        assert result.exit_code == 0, result.output
+        assert abs(float(result.stderr.split("|v|=")[1]) - 1.0) < 1e-6
+        expected = transport.transport_integrated(
+            transport.TransportProblem(x, w, v, 1100), "rk4").transported
+        got = np.loadtxt(result.stdout.splitlines(), delimiter=",").T
+        assert np.abs(got - expected).max() < 1e-6
+
     def test_shape_mismatch_exits_2(self, runner, tmp_path, rng):
         _, _, _, paths = self.write_inputs(tmp_path, rng)
         bad = tmp_path / "bad.csv"

@@ -88,6 +88,14 @@ class TestExpLogDist:
         w = 2.0 * random_tangent(rng, x)
         assert np.linalg.norm(preshape.log(x, preshape.exp(x, w)) - w) < 1e-10
 
+    @pytest.mark.parametrize("norm", [1e-7, 1e-8, 1e-10])
+    def test_log_inverts_exp_at_tiny_distances(self, rng, norm):
+        # below 1.4e-7, where 1 - cos d < 1e-14: coincidence is a test on sin d
+        for _ in range(10):
+            x = random_preshape(rng, 3, 4)
+            w = norm * random_tangent(rng, x)
+            assert np.linalg.norm(preshape.log(x, preshape.exp(x, w)) - w) <= 1e-15
+
     def test_exp_inverts_log(self, rng):
         for _ in range(10):
             x = random_preshape(rng, 3, 4)

@@ -8,7 +8,9 @@ from shapetransport import bench, linalg, preshape, quotient, transport
 from shapetransport.errors import RankDeficient
 from shapetransport.transport import TransportProblem
 
-from conftest import random_horizontal, random_preshape, random_rotation
+from conftest import (planar_transport, random_horizontal, random_preshape,
+                      random_rotation)
+from test_acceptance import SLOPE_BANDS
 
 
 def make_problem(seed, m=3, k=4, n=100):
@@ -114,7 +116,7 @@ class TestIntegratedSchemes:
         # pins each tableau exactly: RK2 is the explicit midpoint rule, not
         # Heun, even though both are second order. The step runs in the
         # coordinates of an orthonormal basis y of the row span of x and w:
-        # a first call steps v @ y, the break-even call computes v @ y @ P
+        # a first call steps v @ y, its repeat computes v @ y @ P
         # with P the same step taken on the identity with right-hand side
         # u @ L(s), the ODE's linear map at each node, and Euler projecting
         # its rows. Both agree with the step written out on the full m-by-k
@@ -147,7 +149,6 @@ class TestIntegratedSchemes:
         y = np.linalg.qr(np.concatenate([x, w]).T)[0]
         x_r, w_r, v_r = x @ y, w @ y, v @ y
         size = x_r.size
-        assert transport.operator_break_even(size) == 2
         eye = np.eye(size)
         units = eye.reshape(size, *x_r.shape)
         # v @ l0, v @ lh and v @ l1 are the right-hand sides at s = 0, 1/2
@@ -298,19 +299,11 @@ class TestOperator:
             for b in basis])
         assert np.abs(moved @ moved.T - np.eye(len(basis))).max() < 2e-3
 
-    def test_break_even_grows_with_the_matrix(self):
-        # operator sides m * min(k, 2m) at k >= 2m for m = 2, 3, 5 and 10
-        assert transport.operator_break_even(8) == 2
-        assert transport.operator_break_even(18) == 2
-        assert transport.operator_break_even(50) == 2
-        assert transport.operator_break_even(200) == 16
-
     @pytest.mark.parametrize("k", [4, 30, 2000])
     def test_repeats_step_until_break_even_then_use_the_matrix(
             self, k, monkeypatch):
         # m = 3: the operator's side is 3 * min(k, 6) at any k
         side = 3 * min(k, 6)
-        assert transport.operator_break_even(side) == 2
         calls = {"transport_ode_rhs": [], "geodesic_state": []}
 
         def counting(name):
@@ -352,6 +345,27 @@ class TestOperator:
                 for result in results[2:]:
                     assert np.array_equal(result.transported, applied)
                 assert np.abs(stepped - applied).max() < 1e-14
+
+    def test_first_repeat_builds_at_any_side(self, monkeypatch):
+        # m = 7, k = 14: an operator of side 98, which the first repeat
+        # builds however dear the build is against one stepped call
+        rhs = transport.transport_ode_rhs
+        calls = []
+        monkeypatch.setattr(transport, "transport_ode_rhs",
+                            lambda *args: calls.append(1) or rhs(*args))
+        problem = make_problem(17, m=7, k=14, n=10)
+        evict()
+        results, counts = [], []
+        for _ in range(4):
+            calls.clear()
+            results.append(transport.transport_integrated(problem, "rk4"))
+            counts.append(len(calls))
+        assert counts == [4 * problem.n, 1, 0, 0]
+        assert transport._last[-1].shape == (98, 98)
+        stepped, applied = (result.transported for result in results[:2])
+        for result in results[2:]:
+            assert np.array_equal(result.transported, applied)
+        assert np.abs(stepped - applied).max() < 1e-14
 
     @pytest.mark.parametrize("scheme", ["euler", "rk2", "rk4"])
     @pytest.mark.parametrize("m,k", [(2, 3), (3, 12), (5, 40)])
@@ -463,7 +477,7 @@ def sylvester_condition(problem, n):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(geodesics(), st.sampled_from(sorted(transport.SCHEMES)))
 def test_operator_agrees_with_stepping(geodesic, scheme):
-    # m <= 5 puts the break-even at the second call, which applies P. With
+    # The second call along a geodesic builds and applies P. With
     # k = m every configuration has rank m - 1, and a geodesic that passes
     # near rank m - 2 makes the Sylvester solves ill-conditioned: there the
     # two paths, each exact to rounding, agree to about 3e-17 times the
@@ -521,11 +535,52 @@ class TestPoleLadder:
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert -2.3 <= slope <= -1.7
 
+    def test_steep_alpha_is_not_zero(self):
+        # alpha = 3.5 at n = 100: the last log spans |v| / 100^3.5 = 1e-7
+        problem = make_problem(8)
+        result = transport.pole_ladder(problem, alpha=3.5)
+        assert np.linalg.norm(result.transported - rk4_reference(problem)) < 1e-4
+
     def test_output_horizontal(self):
         problem = make_problem(9, n=25)
         result = transport.pole_ladder(problem)
         assert preshape.is_horizontal(result.endpoint, result.transported,
                                       tol=1e-8)
+
+
+class TestPlanarOracle:
+    """Every method against the exact transport of planar shapes (m = 2),
+    conftest.planar_transport."""
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 8, 20])
+    def test_one_rung_ladder_and_fine_rk4_are_exact(self, k):
+        for seed in range(2):
+            problem = make_problem(seed, m=2, k=k, n=1)
+            truth = planar_transport(problem.x, problem.w, problem.v)
+            ladder = transport.pole_ladder(problem).transported
+            assert np.abs(ladder - truth).max() < 1e-13
+            assert np.abs(rk4_reference(problem) - truth).max() < 1e-13
+
+    def test_orders_against_the_truth(self):
+        # the criterion-1 bands; the ladder is exact in one rung on this
+        # symmetric space, so its error is rounding amplified by n^alpha
+        ns = np.array([10, 20, 50, 100, 200])
+        slopes = {scheme: [] for scheme in transport.SCHEMES}
+        for seed in range(5):
+            problem = make_problem(seed, m=2, k=4)
+            truth = planar_transport(problem.x, problem.w, problem.v)
+            for method in transport.METHODS:
+                errs = np.array([np.linalg.norm(transport.transport(
+                    TransportProblem(problem.x, problem.w, problem.v, int(n)),
+                    method).transported - truth) for n in ns])
+                if method == "pole":
+                    assert (errs <= 1e-14 * ns**2).all()
+                else:
+                    slopes[method].append(
+                        np.polyfit(np.log(ns), np.log(errs), 1)[0])
+        for scheme, fitted in slopes.items():
+            lo, hi = SLOPE_BANDS[scheme]
+            assert lo <= np.median(fitted) <= hi
 
 
 class TestTransportProperties:

@@ -155,13 +155,14 @@ def _usable(records, method):
 def estimate_order(records, method: str):
     """Least-squares slope of log(error) vs log(n) for one method.
 
-    Records at or below the floating-point floor are excluded. Returns
-    (slope, residual) where residual is the RMS of the fit residuals.
+    Records at or below the floating-point floor are excluded; the rest
+    must number >= 3 and span >= 2 step counts. Returns (slope, residual)
+    where residual is the RMS of the fit residuals.
     """
     usable = _usable(records, method)
-    if len(usable) < 3:
-        raise InsufficientData(
-            f"need >= 3 records above the error floor for {method!r}")
+    if len(usable) < 3 or len({r.n for r in usable}) < 2:
+        raise InsufficientData(f"need >= 3 records above the error floor, "
+                               f"at >= 2 step counts, for {method!r}")
     log_n = np.log([r.n for r in usable])
     log_e = np.log([r.error for r in usable])
     coef = np.polyfit(log_n, log_e, 1)
@@ -209,6 +210,8 @@ def read_csv(path) -> list:
             method, n, trial, error, m, k, seed = line.split(",")
             if method not in transport.METHODS:
                 raise ValueError(f"unknown method {method!r}")
+            if int(n) < 1:
+                raise ValueError(f"step count must be >= 1: {n}")
             error = float(error)
             records.append(ConvergenceRecord(
                 method=method, n=int(n), trial=int(trial), error=error,

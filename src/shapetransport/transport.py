@@ -188,9 +188,9 @@ def _operator(x: np.ndarray, w: np.ndarray, n: int,
 
 
 # The geodesic of the last call (scheme, n and the bytes of x and w), its
-# span (an orthonormal basis y of the row span of x and w, x @ y and w @ y)
-# and, once a call has repeated it, its transport operator in span
-# coordinates.
+# span (an orthonormal basis y of the row span of x and w, x @ y and w @ y),
+# its endpoint e and e @ y and, once a call has repeated it, its transport
+# operator in span coordinates, the endpoint projection included.
 _last = None
 
 
@@ -200,15 +200,15 @@ def transport_integrated(problem: TransportProblem,
 
     Along the geodesic the ODE only adds A gamma - <gamma', v> gamma to v,
     which lies in the row span of x and w. So the call integrates v @ y,
-    with y an orthonormal k-by-min(k, 2m) basis of that span, lifts the
-    result back as v + (moved - v @ y) @ y^T and projects it at the
-    endpoint. A call steps v @ y itself, unless the call just before it
-    asked for the same geodesic: then it applies the (m min(k, 2m))-square
-    operator P, built from the ODE's linear maps at every abscissa by the
-    first such call and kept until a call asks for another geodesic. The two
-    paths round differently, so a result matches the one of an earlier call
-    to the last few ulps, not bit for bit, when one of the calls stepped and
-    the other used P.
+    with y an orthonormal k-by-min(k, 2m) basis of that span, projects the
+    result at the endpoint e on e @ y, lifts it back as v + (moved - v @ y)
+    @ y^T and centres it: the rest of v is orthogonal to e's rows, so only
+    centring acts on it. A call steps v @ y itself, unless the call just
+    before it asked for the same geodesic: then it applies the operator P
+    of side m min(k, 2m), the ODE's linear maps at every abscissa projected
+    at e row by row, built by the first such call and kept until a call asks
+    for another geodesic. The two paths round differently, so their results
+    agree to the last few ulps, not bit for bit.
     """
     global _last
     if scheme not in SCHEMES:
@@ -221,21 +221,20 @@ def transport_integrated(problem: TransportProblem,
     repeat = last is not None and last[0] == key
     if not repeat:
         y = np.linalg.qr(np.concatenate([x, w]).T)[0]
-        last = key, y, x @ y, w @ y, None
-    _, y, x_r, w_r, op = last
+        endpoint = preshape.exp(x, w)
+        last = key, y, x @ y, w @ y, endpoint, endpoint @ y, None
+    _, y, x_r, w_r, endpoint, e_r, op = last
     if repeat and op is None:
-        op = _operator(x_r, w_r, n, scheme)
-    _last = key, y, x_r, w_r, op
+        op = _horizontal(e_r, _operator(x_r, w_r, n, scheme).reshape(
+            -1, *e_r.shape)).reshape(e_r.size, -1)
+    _last = key, y, x_r, w_r, endpoint, e_r, op
     v_r = v @ y
     if op is None:
-        moved = _integrate(x_r, w_r, v_r, n, scheme)
+        moved = _horizontal(e_r, _integrate(x_r, w_r, v_r, n, scheme))
     else:
         moved = (v_r.reshape(-1) @ op).reshape(v_r.shape)
-    endpoint = preshape.exp(x, w)
-    transported = preshape.to_tangent(endpoint, v + (moved - v_r) @ y.T)
-    return TransportResult(
-        endpoint=endpoint,
-        transported=preshape.horizontal_projection(endpoint, transported))
+    transported = preshape.center(v + (moved - v_r) @ y.T)
+    return TransportResult(endpoint=endpoint.copy(), transported=transported)
 
 
 def ladder_scale(n: int, alpha: float) -> float:

@@ -158,6 +158,11 @@ class TestEstimateOrder:
         records = [bench.ConvergenceRecord("rk2", 10, 0, 1e-2, 3, 4, 0)]
         with pytest.raises(InsufficientData):
             bench.estimate_order(records, "rk2")
+        # three records at one step count leave the slope undetermined
+        records = [bench.ConvergenceRecord("rk2", 10, t, e, 3, 4, 0)
+                   for t, e in enumerate((1e-2, 2e-2, 3e-2))]
+        with pytest.raises(InsufficientData, match="step counts"):
+            bench.estimate_order(records, "rk2")
 
     def test_euler_slope_on_real_run(self, small_records):
         slope, _ = bench.estimate_order(small_records, "euler")

@@ -104,13 +104,21 @@ class TestOrder:
                      id="short-row"),
         pytest.param("# rng=numpy-pcg64\nmethod,n,trial,error,m,k,seed\n",
                      id="header-only"),
+        # a step count below 1 reached the fit: log(0) and LAPACK errors
+        pytest.param("method,n,trial,error,m,k,seed\nrk4,0,0,1e-3,3,4,0\n"
+                     "rk4,10,0,1e-4,3,4,0\nrk4,20,0,1e-5,3,4,0\n",
+                     id="zero-steps"),
+        pytest.param("method,n,trial,error,m,k,seed\nrk4,-10,0,1e-3,3,4,0\n"
+                     "rk4,10,0,1e-4,3,4,0\nrk4,20,0,1e-5,3,4,0\n",
+                     id="negative-steps"),
     ])
-    def test_malformed_csv_exits_2(self, runner, tmp_path, text):
+    def test_malformed_csv_exits_2(self, runner, tmp_path, capfd, text):
         csv = tmp_path / "bad.csv"
         csv.write_text(text)
         result = runner.invoke(main, ["order", "--csv", str(csv)])
         assert result.exit_code == 2
         assert "Error: " in result.output and str(csv) in result.output
+        assert "DLASCL" not in capfd.readouterr().err
 
     def test_unknown_method_exits_2(self, runner, tmp_path):
         csv = tmp_path / "rk9.csv"
@@ -124,6 +132,12 @@ class TestOrder:
         csv = tmp_path / "short.csv"
         csv.write_text("method,n,trial,error,m,k,seed\n"
                        "rk4,10,0,1e-3,3,4,0\nrk4,20,0,1e-4,3,4,0\n")
+        result = runner.invoke(main, ["order", "--csv", str(csv)])
+        assert result.exit_code == 3
+        assert "numerical failure" in result.output
+        # three records, but all at one step count
+        csv.write_text("method,n,trial,error,m,k,seed\nrk4,10,0,1e-3,3,4,0\n"
+                       "rk4,10,1,2e-3,3,4,0\nrk4,10,2,3e-3,3,4,0\n")
         result = runner.invoke(main, ["order", "--csv", str(csv)])
         assert result.exit_code == 3
         assert "numerical failure" in result.output

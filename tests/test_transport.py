@@ -116,11 +116,13 @@ class TestIntegratedSchemes:
         # pins each tableau exactly: RK2 is the explicit midpoint rule, not
         # Heun, even though both are second order. The step runs in the
         # coordinates of an orthonormal basis y of the row span of x and w:
-        # a first call steps v @ y, its repeat computes v @ y @ P
-        # with P the same step taken on the identity with right-hand side
-        # u @ L(s), the ODE's linear map at each node, and Euler projecting
-        # its rows. Both agree with the step written out on the full m-by-k
-        # matrices.
+        # a first call steps v @ y and projects the result at the endpoint
+        # e on e @ y, its repeat computes v @ y @ P with P the same step
+        # taken on the identity with right-hand side u @ L(s), the ODE's
+        # linear map at each node, Euler projecting its rows, and the
+        # endpoint projection applied to its rows. Either lifts the result
+        # back and centres it, and both agree with the step written out on
+        # the full m-by-k matrices.
         problem = make_problem(15, n=1)
         x, w, v = problem.x, problem.w, problem.v
         endpoint = preshape.exp(x, w)
@@ -169,7 +171,14 @@ class TestIntegratedSchemes:
             k3 = (eye + 0.5 * k2) @ lh
             k4 = (eye + k3) @ l1
             op = eye + 1 / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        moved = (step(x_r, w_r, v_r, preshape.remove_radial),
+        e_r = endpoint @ y
+
+        def at_endpoint_r(u):
+            return preshape.horizontal_projection(
+                e_r, preshape.remove_radial(e_r, u))
+
+        op = at_endpoint_r(op.reshape(size, *x_r.shape)).reshape(size, size)
+        moved = (at_endpoint_r(step(x_r, w_r, v_r, preshape.remove_radial)),
                  (v_r.reshape(-1) @ op).reshape(v_r.shape))
         full = at_endpoint(step(x, w, v, preshape.to_tangent))
         evict()
@@ -177,9 +186,35 @@ class TestIntegratedSchemes:
             result = transport.transport_integrated(problem, scheme)
             assert np.array_equal(result.endpoint, endpoint)
             assert np.array_equal(result.transported,
-                                  at_endpoint(v + (moved_r - v_r) @ y.T))
+                                  preshape.center(v + (moved_r - v_r) @ y.T))
             assert (np.abs(result.transported - full).max()
                     <= 1e-14 * max(1.0, np.linalg.norm(v)))
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk2", "rk4"])
+    @pytest.mark.parametrize("k", [4, 12])
+    @pytest.mark.parametrize("raw", [False, True], ids=["horizontal", "raw"])
+    def test_span_finish_is_the_full_projection(self, scheme, k, raw):
+        # The first call and its repeat, which applies P, against the
+        # endpoint projection of the lifted result on full m-by-k matrices.
+        # At k = 4 the span basis y holds the translation direction, at
+        # k = 12 it does not; a raw v is neither tangent nor centred.
+        problem = make_problem(27, k=k, n=10)
+        x, w, v = problem.x, problem.w, problem.v
+        if raw:
+            v = np.random.default_rng(27).standard_normal(x.shape)
+            problem = TransportProblem(x, w, v, problem.n)
+        y = np.linalg.qr(np.concatenate([x, w]).T)[0]
+        v_r = v @ y
+        moved = transport._integrate(x @ y, w @ y, v_r, problem.n, scheme)
+        endpoint = preshape.exp(x, w)
+        want = preshape.horizontal_projection(endpoint, preshape.to_tangent(
+            endpoint, v + (moved - v_r) @ y.T))
+        evict()
+        for _ in range(2):
+            got = transport.transport_integrated(problem, scheme).transported
+            assert (np.abs(got - want).max()
+                    <= 1e-14 * max(1.0, np.linalg.norm(v)))
+        assert transport._last[-1] is not None
 
     def test_euler_error_halves_with_doubled_steps(self):
         ratios = []
@@ -563,24 +598,27 @@ class TestPlanarOracle:
 
     def test_orders_against_the_truth(self):
         # the criterion-1 bands; the ladder is exact in one rung on this
-        # symmetric space, so its error is rounding amplified by n^alpha
+        # symmetric space, so its error is rounding amplified by n^alpha.
+        # Each n is taken twice: the second integrated call applies P.
         ns = np.array([10, 20, 50, 100, 200])
-        slopes = {scheme: [] for scheme in transport.SCHEMES}
+        slopes = {scheme: ([], []) for scheme in transport.SCHEMES}
         for seed in range(5):
             problem = make_problem(seed, m=2, k=4)
             truth = planar_transport(problem.x, problem.w, problem.v)
             for method in transport.METHODS:
-                errs = np.array([np.linalg.norm(transport.transport(
+                errs = np.array([[np.linalg.norm(transport.transport(
                     TransportProblem(problem.x, problem.w, problem.v, int(n)),
-                    method).transported - truth) for n in ns])
+                    method).transported - truth) for _ in range(2)]
+                    for n in ns]).T
                 if method == "pole":
                     assert (errs <= 1e-14 * ns**2).all()
-                else:
-                    slopes[method].append(
-                        np.polyfit(np.log(ns), np.log(errs), 1)[0])
-        for scheme, fitted in slopes.items():
+                    continue
+                for fitted, call in zip(slopes[method], errs, strict=True):
+                    fitted.append(np.polyfit(np.log(ns), np.log(call), 1)[0])
+        for scheme, calls in slopes.items():
             lo, hi = SLOPE_BANDS[scheme]
-            assert lo <= np.median(fitted) <= hi
+            for fitted in calls:
+                assert lo <= np.median(fitted) <= hi
 
 
 class TestTransportProperties:

@@ -73,6 +73,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
+    """One benchmark CSV row, column for column; `failed` is derived."""
+
     method: str
     n: int
     trial: int
@@ -80,7 +82,10 @@ class ConvergenceRecord:
     m: int
     k: int
     seed: int
-    failed: bool = False
+
+    @property
+    def failed(self) -> bool:
+        return not math.isfinite(self.error)
 
 
 def sample_problem(m: int, k: int,
@@ -137,12 +142,10 @@ def run_convergence(cfg: ExperimentConfig) -> list:
                     result = transport.transport(
                         replace(problem, n=n), method, alpha=cfg.alpha)
                     error = float(np.linalg.norm(result.transported - ref))
-                    failed = not math.isfinite(error)
                 except ShapeSpaceError:
-                    error, failed = math.nan, True
+                    error = math.nan
                 records.append(ConvergenceRecord(
-                    method=method, n=n, trial=trial, error=error,
-                    m=cfg.m, k=cfg.k, seed=cfg.seed, failed=failed))
+                    method, n, trial, error, cfg.m, cfg.k, cfg.seed))
     records.sort(key=lambda r: (r.method, r.n, r.trial))
     return records
 
@@ -188,20 +191,20 @@ def median_trial_slope(records, method: str) -> float:
 
 
 def write_csv(records, path) -> None:
-    """Persist records; header method,n,trial,error,m,k,seed, errors in
-    scientific notation with 17 significant digits, byte-stable."""
+    """Persist records; header method,n,trial,error,m,k,seed, every error
+    in one 17-digit scientific format (`nan` if failed), byte-stable."""
     if not records:
         raise ValueError("no records to write")
     lines = [f"# rng={RNG_NAME}", "method,n,trial,error,m,k,seed"]
-    for r in records:
-        err = "nan" if r.failed else f"{r.error:.16e}"
-        lines.append(f"{r.method},{r.n},{r.trial},{err},{r.m},{r.k},{r.seed}")
+    lines += [f"{r.method},{r.n},{r.trial},{r.error:.16e},{r.m},{r.k},{r.seed}"
+              for r in records]
     with io_failure(path), open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> list:
-    """Parse a benchmark CSV written by write_csv, which has records."""
+    """Parse a benchmark CSV written by write_csv, which has records; an
+    error of `nan` or `inf` reads as failed, one below 0 raises IoFailure."""
     records = []
     with io_failure(path), open(path) as handle:
         for line in (ln.strip() for ln in handle):
@@ -213,10 +216,10 @@ def read_csv(path) -> list:
             if int(n) < 1:
                 raise ValueError(f"step count must be >= 1: {n}")
             error = float(error)
+            if error < 0:
+                raise ValueError(f"error must be >= 0: {error}")
             records.append(ConvergenceRecord(
-                method=method, n=int(n), trial=int(trial), error=error,
-                m=int(m), k=int(k), seed=int(seed),
-                failed=not math.isfinite(error)))
+                method, int(n), int(trial), error, int(m), int(k), int(seed)))
         if not records:
             raise ValueError("no records")
     return records

@@ -10,14 +10,13 @@ against each other, and so do their products with `@`.
 """
 
 import math
+import warnings
 
 import numpy as np
 
 from .errors import AntipodalPoints, DegenerateConfiguration, io_failure
 from .linalg import eigenvalue_rank, optimal_rotation, solve_sylvester_skew
 
-# Below this norm the exponential falls back to its first-order limit.
-_SMALL_ANGLE = 1e-9
 # log treats points as coincident when |y - <x, y> x|, the sine of their
 # distance, is at most this.
 _COINCIDENT = 1e-14
@@ -76,9 +75,10 @@ def to_tangent(x: np.ndarray, raw: np.ndarray) -> np.ndarray:
 
 
 def exp(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Great-circle exponential: cos(|w|) x + sin(|w|) w/|w|."""
+    """Great-circle exponential cos(|w|) x + sin(|w|) w/|w|, or its limit
+    x + w at |w| = 0, to which the formula rounds for |w| < 1e-9."""
     norm = _norm(w)
-    if norm < _SMALL_ANGLE:
+    if norm == 0.0:
         y = x + w
     else:
         y = np.cos(norm) * x + (np.sin(norm) / norm) * w
@@ -136,9 +136,14 @@ def align(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def read_landmarks(path) -> np.ndarray:
     """Load a landmark CSV (one row per landmark, m columns, no header)
-    and return the m-by-k matrix. Non-finite values are rejected."""
-    with io_failure(path):
+    and return the m-by-k matrix. An empty file and non-finite values are
+    rejected."""
+    with io_failure(path), warnings.catch_warnings():
+        # loadtxt warns on a file without rows; that is the ValueError below
+        warnings.simplefilter("ignore", UserWarning)
         rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        if not rows.size:
+            raise ValueError("no landmarks")
         if not np.isfinite(rows).all():
             raise ValueError("non-finite value")
     return rows.T

@@ -65,11 +65,11 @@ def geodesic_state(x: np.ndarray, w: np.ndarray, s: float):
     gamma(s) = cos(s|w|) x + sin(s|w|) w/|w| and its analytic derivative
     gamma'(s) = cos(s|w|) w - |w| sin(s|w|) x. Horizontality of w is
     preserved along the curve. An array s of shape (..., 1, 1) gives the
-    states at every s stacked along its leading axes.
-    """
+    states at every s stacked along its leading axes. Only |w| = 0 takes
+    the first-order limit (x + s w, w)."""
     norm = preshape._norm(w)
-    if norm < 1e-12:
-        return x + 0.0 * s, w + 0.0 * s
+    if norm == 0.0:
+        return x + s * w, w + 0.0 * s
     angle = s * norm
     c, si = np.cos(angle), np.sin(angle)
     gamma = c * x + (si / norm) * w

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -198,12 +199,29 @@ class TestCsv:
             assert math.isclose(a.error, b.error, rel_tol=1e-15)
 
     def test_failed_record_round_trips_as_nan(self, tmp_path):
-        record = bench.ConvergenceRecord("pole", 10, 0, math.nan, 3, 4, 0,
-                                         failed=True)
+        record = bench.ConvergenceRecord("pole", 10, 0, math.nan, 3, 4, 0)
         path = tmp_path / "f.csv"
         bench.write_csv([record], path)
         back = bench.read_csv(path)
         assert back[0].failed and math.isnan(back[0].error)
+
+    def test_record_is_its_csv_row(self):
+        names = [f.name for f in dataclasses.fields(bench.ConvergenceRecord)]
+        assert names == ["method", "n", "trial", "error", "m", "k", "seed"]
+
+    @pytest.mark.parametrize("error, failed", [
+        (0.125, False), (math.inf, True), (math.nan, True)])
+    def test_failed_follows_the_error(self, tmp_path, error, failed):
+        record = bench.ConvergenceRecord("rk4", 10, 0, error, 3, 4, 0)
+        assert record.failed is failed
+        path = tmp_path / "one.csv"
+        bench.write_csv([record], path)
+        [back] = bench.read_csv(path)
+        assert back.failed is failed
+        if math.isnan(error):
+            assert math.isnan(back.error)
+        else:
+            assert back == record
 
 
 class TestSvg:

@@ -111,6 +111,11 @@ class TestOrder:
         pytest.param("method,n,trial,error,m,k,seed\nrk4,-10,0,1e-3,3,4,0\n"
                      "rk4,10,0,1e-4,3,4,0\nrk4,20,0,1e-5,3,4,0\n",
                      id="negative-steps"),
+        # an error is a norm; the fit would drop a negative one silently
+        pytest.param("method,n,trial,error,m,k,seed\nrk4,10,0,-1e-3,3,4,0\n"
+                     "rk4,20,0,1e-4,3,4,0\nrk4,40,0,1e-5,3,4,0\n"
+                     "rk4,80,0,1e-6,3,4,0\n",
+                     id="negative-error"),
     ])
     def test_malformed_csv_exits_2(self, runner, tmp_path, capfd, text):
         csv = tmp_path / "bad.csv"
@@ -214,6 +219,21 @@ class TestTransportCommand:
             "transport", "--input", paths["input"], "--target",
             paths["target"], "--vector", str(bad)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("empty", [
+        pytest.param(("input",), id="input-only"),
+        pytest.param(("input", "target", "vector"), id="all-three")])
+    def test_empty_landmark_file_exits_2(self, runner, tmp_path, rng, capfd,
+                                         empty):
+        _, _, _, paths = self.write_inputs(tmp_path, rng)
+        for name in empty:
+            open(paths[name], "w").close()
+        result = runner.invoke(main, [
+            "transport", "--input", paths["input"], "--target",
+            paths["target"], "--vector", paths["vector"]])
+        assert result.exit_code == 2, result.output
+        assert f"Error: {paths['input']}: no landmarks" in result.stderr
+        assert "Warning" not in result.output + capfd.readouterr().err
 
     def test_singular_input_exits_3(self, runner, tmp_path, rng):
         _, _, _, paths = self.write_inputs(tmp_path, rng)

@@ -69,6 +69,14 @@ class TestExpLogDist:
         x = random_preshape(rng, 3, 4)
         assert np.array_equal(preshape.exp(x, np.zeros_like(x)), x)
 
+    def test_exp_below_1e_9_is_the_normalised_sum(self, rng):
+        # cos|w| and sin|w|/|w| round to 1.0 there, so no branch is needed
+        for norm in np.logspace(-161, -9, 153):
+            x = random_preshape(rng, 3, 4)
+            w = norm * random_tangent(rng, x)
+            assert np.array_equal(preshape.exp(x, w),
+                                  (x + w) / np.linalg.norm(x + w))
+
     def test_exp_antipode(self, rng):
         x = random_preshape(rng, 3, 4)
         w = np.pi * random_tangent(rng, x)

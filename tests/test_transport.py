@@ -61,6 +61,14 @@ class TestGeodesicState:
             gamma, gamma_dot = transport.geodesic_state(x, w, s)
             assert preshape.is_horizontal(gamma, gamma_dot)
 
+    def test_tiny_velocity_ends_where_exp_ends(self, rng):
+        # only w = 0 is the constant state: at |w| = 1e-13 the curve moves
+        for _ in range(50):
+            x = random_preshape(rng, 3, 4)
+            w = 1e-13 * random_horizontal(rng, x)
+            gamma, _ = transport.geodesic_state(x, w, 1.0)
+            assert np.abs(gamma - preshape.exp(x, w)).max() <= 1e-15
+
 
 class TestOdeRhs:
     def test_velocity_transports_radially(self, rng):

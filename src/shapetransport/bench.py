@@ -23,12 +23,17 @@ ERROR_FLOOR = 1e-13
 DEFAULT_STEPS = (10, 20, 50, 100, 200, 500, 1000)
 
 
+def _is_count(value) -> bool:
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One convergence sweep. Raises ValueError on a field out of range:
-    m, k, n_ref, trials and the step counts must be integers, the seed a
-    non-negative integer, and the pole ladder's scale n^alpha a finite
-    float at the largest step count (`transport.ladder_scale`). Any
+    m, k, n_ref, trials and the step counts must be integers (not bools),
+    the seed a non-negative integer, and the pole ladder's scale n^alpha a
+    finite float at the largest step count (`transport.ladder_scale`). Any
     iterable of step counts or methods is kept as a tuple, so a config
     hashes and can be run more than once."""
 
@@ -46,10 +51,10 @@ class ExperimentConfig:
         object.__setattr__(self, "step_counts", steps)
         object.__setattr__(self, "methods", methods)
         counts = (self.m, self.k, self.n_ref, self.trials, *steps)
-        if not all(isinstance(c, (int, np.integer)) for c in counts):
+        if not all(map(_is_count, counts)):
             raise ValueError("m, k, n_ref, trials and step counts must be "
                              f"integers: {counts!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_count(self.seed) or self.seed < 0:
             raise ValueError(
                 f"seed must be a non-negative integer: {self.seed!r}")
         # A centred configuration has rank <= k-1, and it must reach m-1.

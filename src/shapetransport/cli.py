@@ -26,6 +26,13 @@ def _parse_methods(_ctx, _param, value):
     return tuple(part.strip() for part in value.split(","))
 
 
+def _echo_slopes(records, methods):
+    """Print each method's fitted convergence slope, one line per method."""
+    for method in methods:
+        slope, residual = bench.estimate_order(records, method)
+        click.echo(f"{method}: slope {slope:+.3f} (fit rms {residual:.3f})")
+
+
 class _Bench(click.Group):
     """The one place where library failures become exit codes."""
 
@@ -76,9 +83,7 @@ def run(csv_path, svg_path, **fields):
         bench.write_csv(records, csv_path)
     if svg_path:
         bench.write_svg_loglog(records, svg_path)
-    for method in cfg.methods:
-        slope, residual = bench.estimate_order(records, method)
-        click.echo(f"{method}: slope {slope:+.3f} (fit rms {residual:.3f})")
+    _echo_slopes(records, cfg.methods)
 
 
 @main.command()
@@ -87,10 +92,8 @@ def run(csv_path, svg_path, **fields):
 def order(csv_path):
     """Print per-method convergence slopes from a benchmark CSV."""
     records = bench.read_csv(csv_path)
-    methods = sorted({r.method for r in records}, key=transport.METHODS.index)
-    for method in methods:
-        slope, residual = bench.estimate_order(records, method)
-        click.echo(f"{method}: slope {slope:+.3f} (fit rms {residual:.3f})")
+    _echo_slopes(records, sorted({r.method for r in records},
+                                 key=transport.METHODS.index))
 
 
 @main.command(name="transport")

@@ -33,9 +33,10 @@ METHODS = (*SCHEMES, "pole")
 @dataclass(frozen=True)
 class TransportProblem:
     """Transport the horizontal vector v along the geodesic t -> exp(x, t w),
-    t in [0, 1], in n >= 1 steps (or ladder rungs); x, w and v are m-by-k.
-    Raises ValueError unless n is an integer >= 1 and x, w and v share one
-    2-D shape and have finite entries (and norms)."""
+    t in [0, 1], in n >= 1 steps (or ladder rungs); x, w and v are m-by-k,
+    kept as float arrays (a float64 ndarray as itself). Raises ValueError
+    unless n is an integer >= 1, not a bool, and x, w and v have one
+    non-empty 2-D shape and real, finite entries (and norms)."""
 
     x: np.ndarray
     w: np.ndarray
@@ -43,11 +44,18 @@ class TransportProblem:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"step count must be an integer >= 1: {self.n!r}")
-        shapes = [np.shape(a) for a in (self.x, self.w, self.v)]
-        if len(shapes[0]) != 2 or shapes.count(shapes[0]) != 3:
-            raise ValueError(f"x, w and v need one 2-D shape: {shapes}")
+        n = self.n
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"step count must be an integer >= 1: {n!r}")
+        arrays = [np.asarray(a) for a in (self.x, self.w, self.v)]
+        if any(a.dtype.kind not in "iuf" for a in arrays):
+            raise ValueError("x, w and v need real entries: "
+                             f"{[a.dtype.name for a in arrays]}")
+        shapes = [a.shape for a in arrays]
+        if len(shapes[0]) != 2 or shapes.count(shapes[0]) != 3 or 0 in shapes[0]:
+            raise ValueError(f"x, w and v need one non-empty 2-D shape: {shapes}")
+        for name, a in zip("xwv", arrays):
+            object.__setattr__(self, name, a.astype(float, copy=False))
         norms = map(preshape._norm, (self.x, self.w, self.v))
         if not math.isfinite(sum(norms)):
             raise ValueError("x, w and v need finite entries and norms")
@@ -124,14 +132,17 @@ _BLOCK = 16
 
 
 def _blocks(x: np.ndarray, w: np.ndarray, n: int, scheme: str):
-    """Yield (per, count, gamma, gamma') for each block of _BLOCK steps: per
-    rows per step (2 with midpoints, else 1), count steps, and the states of
-    one geodesic_state call, row per (i + c) c steps into its step i."""
+    """Yield (count, gamma, gamma', row) for each block of _BLOCK steps:
+    count steps and the states of one geodesic_state call, with row(i, c)
+    the row that the stage at node c of the block's step i reads (c = 1
+    ends the step; i may be an array of steps). Only this generator knows
+    the layout: per rows per step, 2 with midpoints, else 1."""
     per = 2 if any(c % 1 for c in SCHEMES[scheme][0]) else 1
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         s = np.arange(per * start, per * stop + 1) * (1.0 / per) * (1.0 / n)
-        yield per, stop - start, *geodesic_state(x, w, s[:, None, None])
+        yield (stop - start, *geodesic_state(x, w, s[:, None, None]),
+               lambda i, c: per * i + int(per * c))
 
 
 def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
@@ -145,52 +156,39 @@ def _integrate(x: np.ndarray, w: np.ndarray, v: np.ndarray, n: int,
     integrate the raw ODE with states evaluated on the exact geodesic, read
     from _blocks. The caller projects the result at the endpoint.
     """
-    for per, count, gamma, gamma_dot in _blocks(x, w, n, scheme):
-        for row in range(0, per * count, per):
+    for count, gamma, gamma_dot, row in _blocks(x, w, n, scheme):
+        for i in range(count):
             v = _step(v, lambda c, u: transport_ode_rhs(
-                gamma[row + int(per * c)], gamma_dot[row + int(per * c)], u),
-                1.0 / n, scheme, lambda u: _horizontal(gamma[row + per], u))
+                gamma[row(i, c)], gamma_dot[row(i, c)], u),
+                1.0 / n, scheme, lambda u: _horizontal(gamma[row(i, 1)], u))
     return v
-
-
-def _step_maps(n: int, scheme: str, per: int, count: int, gamma: np.ndarray,
-               gamma_dot: np.ndarray) -> np.ndarray:
-    """Maps M_i, a stack (count, size, size), of the steps of one block of
-    _blocks, on flattened vectors of size size: step i takes v to v @ M_i.
-
-    The right-hand side is linear in v: at abscissa s it is v @ L(s). One
-    transport_ode_rhs call on the unit matrices gives L at every row of the
-    block, and the maps are _step on the identity with right-hand side
-    u @ L(s) on strided slices of them; Euler projects rows.
-    """
-    shape, size = gamma.shape[1:], gamma[0].size
-    eye = np.eye(size)
-    maps = transport_ode_rhs(gamma[:, None], gamma_dot[:, None],
-                             eye.reshape(size, *shape))
-    maps = maps.reshape(-1, size, size)
-    return _step(eye, lambda c, u: u @ maps[int(per * c)::per][:count],
-                 1.0 / n, scheme, lambda u: _horizontal(
-                     gamma[per::per][:count, None],
-                     u.reshape(-1, size, *shape)).reshape(u.shape))
 
 
 def _operator(x: np.ndarray, w: np.ndarray, n: int,
               scheme: str) -> np.ndarray:
     """Square matrix P of side x.size with v.reshape(-1) @ P what
     _integrate(x, w, v, n, scheme) gives, to rounding, for every v of the
-    shape of x: the product of the step maps of each block from _blocks.
-    """
-    op = np.eye(x.size)
-    # A block's maps go straight into the fold: one block is alive at a time.
-    for block in _blocks(x, w, n, scheme):
-        op = reduce(np.matmul, _step_maps(n, scheme, *block), op)
+    shape of x. The right-hand side is linear, v @ L(s) at abscissa s. Per
+    block of _blocks, one transport_ode_rhs call on the unit matrices gives
+    L at every row, _step on the identity with right-hand side u @ L gives
+    the maps of all the block's steps at once (Euler projects their rows),
+    and the fold multiplies them into P in order, one block at a time."""
+    eye = op = np.eye(x.size)
+    for count, gamma, gamma_dot, row in _blocks(x, w, n, scheme):
+        maps = transport_ode_rhs(gamma[:, None], gamma_dot[:, None],
+                                 eye.reshape(-1, *x.shape))
+        maps, steps = maps.reshape(-1, x.size, x.size), np.arange(count)
+        op = reduce(np.matmul, _step(
+            eye, lambda c, u: u @ maps[row(steps, c)], 1.0 / n, scheme,
+            lambda u: _horizontal(gamma[row(steps, 1), None], u.reshape(
+                -1, x.size, *x.shape)).reshape(u.shape)), op)
+        del maps  # before the next block's: one block's maps at a time
     return op
 
 
-# The geodesic of the last call (scheme, n and the bytes of x and w), its
-# span (an orthonormal basis y of the row span of x and w, x @ y and w @ y),
-# its endpoint e and e @ y and, once a call has repeated it, its transport
-# operator in span coordinates, the endpoint projection included.
+# The geodesic of the last call (scheme, n and the bytes of x and w), an
+# orthonormal basis y of the row span of x and w, the endpoint and, once a
+# call has repeated the geodesic, its operator P, endpoint projection in.
 _last = None
 
 
@@ -203,11 +201,10 @@ def transport_integrated(problem: TransportProblem,
     with y an orthonormal k-by-min(k, 2m) basis of that span, projects the
     result at the endpoint e on e @ y, lifts it back as v + (moved - v @ y)
     @ y^T and centres it: the rest of v is orthogonal to e's rows, so only
-    centring acts on it. A call steps v @ y itself, unless the call just
-    before it asked for the same geodesic: then it applies the operator P
-    of side m min(k, 2m), the ODE's linear maps at every abscissa projected
-    at e row by row, built by the first such call and kept until a call asks
-    for another geodesic. The two paths round differently, so their results
+    centring acts on it. A call along a new geodesic steps v @ y. A call
+    that repeats the geodesic of the call before it applies the operator P
+    of side m min(k, 2m), _operator's map projected at e row by row, built
+    by the first repeat. The two paths round differently, so their results
     agree to the last few ulps, not bit for bit.
     """
     global _last
@@ -215,23 +212,23 @@ def transport_integrated(problem: TransportProblem,
         raise ValueError(f"unknown scheme {scheme!r}")
     x, w, v, n = problem.x, problem.w, problem.v, problem.n
     key = (scheme, n, x.shape, x.tobytes(), w.tobytes())
-    # One read and one write of the shared entry: a concurrent call can at
-    # worst replace it, never hand this call another geodesic's operator.
+    # Read once, write at most once: a concurrent call never mixes entries.
     last = _last
-    repeat = last is not None and last[0] == key
-    if not repeat:
+    if last is None or last[0] != key:
         y = np.linalg.qr(np.concatenate([x, w]).T)[0]
         endpoint = preshape.exp(x, w)
-        last = key, y, x @ y, w @ y, endpoint, endpoint @ y, None
-    _, y, x_r, w_r, endpoint, e_r, op = last
-    if repeat and op is None:
-        op = _horizontal(e_r, _operator(x_r, w_r, n, scheme).reshape(
-            -1, *e_r.shape)).reshape(e_r.size, -1)
-    _last = key, y, x_r, w_r, endpoint, e_r, op
-    v_r = v @ y
-    if op is None:
-        moved = _horizontal(e_r, _integrate(x_r, w_r, v_r, n, scheme))
+        _last = key, y, endpoint, None
+        v_r = v @ y
+        moved = _horizontal(endpoint @ y,
+                            _integrate(x @ y, w @ y, v_r, n, scheme))
     else:
+        _, y, endpoint, op = last
+        if op is None:
+            e_r = endpoint @ y
+            op = _horizontal(e_r, _operator(x @ y, w @ y, n, scheme).reshape(
+                -1, *e_r.shape)).reshape(e_r.size, -1)
+            _last = key, y, endpoint, op
+        v_r = v @ y
         moved = (v_r.reshape(-1) @ op).reshape(v_r.shape)
     transported = preshape.center(v + (moved - v_r) @ y.T)
     return TransportResult(endpoint=endpoint.copy(), transported=transported)

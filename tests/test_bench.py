@@ -64,6 +64,11 @@ class TestConfigValidation:
         dict(alpha=400),
         dict(seed=1.5),
         dict(seed=-1),
+        # bools are ints to isinstance, not counts
+        dict(trials=True),
+        dict(seed=False),
+        dict(seed=True),
+        dict(step_counts=(True, 20)),
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -298,7 +298,8 @@ class TestOperator:
         with pytest.raises(ValueError, match="unknown scheme"):
             transport.transport_integrated(problem, "pole")
 
-    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    # a bool is an int to isinstance, not a step count
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, np.bool_(True)])
     def test_step_count_below_one_rejected(self, n):
         problem = make_problem(16)
         with pytest.raises(ValueError, match="step count"):
@@ -499,6 +500,87 @@ class TestOperator:
             other.x, problem.w, problem.v, problem.n), "rk4")
         assert np.array_equal(got.endpoint, want.endpoint)
         assert np.array_equal(got.transported, want.transported)
+
+
+class TestProblemInputs:
+    """TransportProblem keeps x, w and v as float arrays and refuses what
+    is not one: nested lists raised a raw AttributeError, a complex x gave
+    a complex result and an empty shape a raw IndexError or an empty
+    result."""
+
+    @pytest.mark.parametrize("method", transport.METHODS)
+    def test_nested_lists_give_the_array_bits(self, method):
+        problem = make_problem(29, n=10)
+        lists = TransportProblem(problem.x.tolist(), problem.w.tolist(),
+                                 problem.v.tolist(), problem.n)
+        results = []
+        for given in (problem, lists):
+            evict()
+            # the second integrated call applies P
+            results += [transport.transport(given, method) for _ in range(2)]
+        for got, want in zip(results[2:], results[:2], strict=True):
+            assert np.array_equal(got.endpoint, want.endpoint)
+            assert np.array_equal(got.transported, want.transported)
+
+    def test_float_arrays_pass_uncopied(self):
+        problem = make_problem(29)
+        again = TransportProblem(problem.x, problem.w, problem.v, 3)
+        for name in "xwv":
+            assert getattr(again, name) is getattr(problem, name)
+        ints = TransportProblem(*(np.ones((3, 4), dtype=int),) * 3, 3)
+        assert ints.x.dtype == np.float64
+
+    @pytest.mark.parametrize("entry", [1j, None, "1.0"],
+                             ids=["complex", "object", "string"])
+    @pytest.mark.parametrize("name", ["x", "w", "v"])
+    def test_non_real_entries_rejected(self, name, entry):
+        problem = make_problem(30)
+        arrays = {a: getattr(problem, a).tolist() for a in "xwv"}
+        arrays[name][1][2] = entry
+        with pytest.raises(ValueError, match="real entries"):
+            TransportProblem(n=10, **arrays)
+
+    def test_complex_array_rejected(self):
+        problem = make_problem(30)
+        with pytest.raises(ValueError, match="real entries"):
+            TransportProblem(problem.x.astype(complex), problem.w,
+                             problem.v, 10)
+
+    def test_ragged_lists_rejected(self):
+        problem = make_problem(30)
+        ragged = problem.x.tolist()
+        ragged[1] = ragged[1][:-1]
+        with pytest.raises(ValueError):
+            TransportProblem(ragged, problem.w, problem.v, 10)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0)], ids=["m=0", "k=0"])
+    def test_empty_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            TransportProblem(*(np.zeros(shape),) * 3, 10)
+
+
+class TestSubGeodesics:
+    """n steps along the geodesic are n one-step transports along its
+    pieces t -> exp(gamma(i/n), t gamma'(i/n) / n), i < n: a check of the
+    rows each stage reads that never uses more than one step's table."""
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk2", "rk4"])
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("n", [17, 40])  # past one and two blocks
+    def test_steps_chain_one_step_transports(self, scheme, m, n):
+        problem = make_problem(31, m=m, k=8, n=n)
+        y = np.linalg.qr(np.concatenate([problem.x, problem.w]).T)[0]
+        x_r, w_r, v_r = problem.x @ y, problem.w @ y, problem.v @ y
+        chained, op = v_r, np.eye(x_r.size)
+        for i in range(n):
+            start, velocity = transport.geodesic_state(x_r, w_r, i / n)
+            velocity = velocity / n
+            chained = transport._integrate(start, velocity, chained, 1, scheme)
+            op = op @ transport._operator(start, velocity, 1, scheme)
+        stepped = transport._integrate(x_r, w_r, v_r, n, scheme)
+        assert np.abs(stepped - chained).max() <= 1e-13
+        assert np.abs(transport._operator(x_r, w_r, n, scheme)
+                      - op).max() <= 1e-13
 
 
 @st.composite

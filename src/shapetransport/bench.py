@@ -23,17 +23,12 @@ ERROR_FLOOR = 1e-13
 DEFAULT_STEPS = (10, 20, 50, 100, 200, 500, 1000)
 
 
-def _is_count(value) -> bool:
-    """An integer, numpy's included, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One convergence sweep. Raises ValueError on a field out of range:
     m, k, n_ref, trials and the step counts must be integers (not bools),
-    the seed a non-negative integer, and the pole ladder's scale n^alpha a
-    finite float at the largest step count (`transport.ladder_scale`). Any
+    the seed a non-negative integer, and alpha one that the pole ladder
+    takes at the largest step count (`transport.ladder_scale`). Any
     iterable of step counts or methods is kept as a tuple, so a config
     hashes and can be run more than once."""
 
@@ -51,10 +46,10 @@ class ExperimentConfig:
         object.__setattr__(self, "step_counts", steps)
         object.__setattr__(self, "methods", methods)
         counts = (self.m, self.k, self.n_ref, self.trials, *steps)
-        if not all(map(_is_count, counts)):
+        if not all(map(transport._is_count, counts)):
             raise ValueError("m, k, n_ref, trials and step counts must be "
                              f"integers: {counts!r}")
-        if not _is_count(self.seed) or self.seed < 0:
+        if not transport._is_count(self.seed) or self.seed < 0:
             raise ValueError(
                 f"seed must be a non-negative integer: {self.seed!r}")
         # A centred configuration has rank <= k-1, and it must reach m-1.
@@ -78,7 +73,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
-    """One benchmark CSV row, column for column; `failed` is derived."""
+    """One benchmark CSV row; `failed` (a nan or inf error) is derived. Raises
+    ValueError on a method not in METHODS, n not a count >= 1 or error < 0."""
 
     method: str
     n: int
@@ -87,6 +83,14 @@ class ConvergenceRecord:
     m: int
     k: int
     seed: int
+
+    def __post_init__(self):
+        if self.method not in transport.METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+        if not transport._is_count(self.n) or self.n < 1:
+            raise ValueError(f"step count must be >= 1: {self.n!r}")
+        if self.error < 0:
+            raise ValueError(f"error must be >= 0: {self.error}")
 
     @property
     def failed(self) -> bool:
@@ -197,7 +201,8 @@ def median_trial_slope(records, method: str) -> float:
 
 def write_csv(records, path) -> None:
     """Persist records; header method,n,trial,error,m,k,seed, every error
-    in one 17-digit scientific format (`nan` if failed), byte-stable."""
+    in one 17-digit scientific format (`nan` if failed), byte-stable, so a
+    record of int fields reads back equal (a failed one as failed)."""
     if not records:
         raise ValueError("no records to write")
     lines = [f"# rng={RNG_NAME}", "method,n,trial,error,m,k,seed"]
@@ -208,23 +213,17 @@ def write_csv(records, path) -> None:
 
 
 def read_csv(path) -> list:
-    """Parse a benchmark CSV written by write_csv, which has records; an
-    error of `nan` or `inf` reads as failed, one below 0 raises IoFailure."""
+    """Parse a benchmark CSV written by write_csv, which has records; a row
+    that does not parse, or that ConvergenceRecord refuses, raises IoFailure."""
     records = []
     with io_failure(path), open(path) as handle:
         for line in (ln.strip() for ln in handle):
             if not line or line.startswith("#") or line.startswith("method,"):
                 continue
             method, n, trial, error, m, k, seed = line.split(",")
-            if method not in transport.METHODS:
-                raise ValueError(f"unknown method {method!r}")
-            if int(n) < 1:
-                raise ValueError(f"step count must be >= 1: {n}")
-            error = float(error)
-            if error < 0:
-                raise ValueError(f"error must be >= 0: {error}")
             records.append(ConvergenceRecord(
-                method, int(n), int(trial), error, int(m), int(k), int(seed)))
+                method, int(n), int(trial), float(error), int(m), int(k),
+                int(seed)))
         if not records:
             raise ValueError("no records")
     return records

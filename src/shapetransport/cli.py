@@ -1,4 +1,5 @@
-"""Command-line driver: `bench run`, `bench order` and `bench transport`.
+"""Command-line interface: `bench run`, `bench order` and `bench transport`,
+whose landmark files are read here and written with 17 significant digits.
 
 Exit codes, all mapped in `_Bench.invoke`: 0 on success; 2 on a bad
 argument (ValueError) or an unreadable, unwritable, malformed or
@@ -7,6 +8,7 @@ LinAlgError, i.e. a numerical failure.
 """
 
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -96,6 +98,19 @@ def order(csv_path):
                                  key=transport.METHODS.index))
 
 
+def read_landmarks(path) -> np.ndarray:
+    """The m-by-k matrix of a landmark file; refuses no rows or non-finite ones."""
+    with io_failure(path), warnings.catch_warnings():
+        # loadtxt warns on a file without rows; that is the ValueError below
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        if not rows.size:
+            raise ValueError("no landmarks")
+        if not np.isfinite(rows).all():
+            raise ValueError("non-finite value")
+    return rows.T
+
+
 @main.command(name="transport")
 @click.option("--input", "input_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
@@ -115,9 +130,9 @@ def order(csv_path):
 def transport_cmd(input_path, target_path, vector_path, method, n, alpha,
                   output_path):
     """Transport a vector along the geodesic between two configurations."""
-    x_raw = preshape.read_landmarks(input_path)
-    y_raw = preshape.read_landmarks(target_path)
-    vec_raw = preshape.read_landmarks(vector_path)
+    x_raw = read_landmarks(input_path)
+    y_raw = read_landmarks(target_path)
+    vec_raw = read_landmarks(vector_path)
     if x_raw.shape != y_raw.shape or x_raw.shape != vec_raw.shape:
         raise ValueError(
             f"shape mismatch: {x_raw.shape} vs {y_raw.shape} vs {vec_raw.shape}")

@@ -1,7 +1,7 @@
 """The pre-shape sphere of centered, unit-norm m-by-k landmark matrices.
 
-Projection from raw landmarks, closed-form sphere geodesics (exp/log/dist),
-tangent projection, the vertical/horizontal split and the align map.
+Geometry only: projection from raw landmarks, closed-form sphere geodesics
+(exp/log/dist), tangent projection, the vertical/horizontal split, align.
 Points and tangent vectors are plain m-by-k numpy arrays; columns are
 landmarks in R^m. `center`, `remove_radial`, `to_tangent` and the
 vertical and horizontal projections also take a stack (..., m, k) of
@@ -10,11 +10,10 @@ against each other, and so do their products with `@`.
 """
 
 import math
-import warnings
 
 import numpy as np
 
-from .errors import AntipodalPoints, DegenerateConfiguration, io_failure
+from .errors import AntipodalPoints, DegenerateConfiguration
 from .linalg import eigenvalue_rank, optimal_rotation, solve_sylvester_skew
 
 # log treats points as coincident when |y - <x, y> x|, the sine of their
@@ -133,17 +132,3 @@ def align(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rotated copy of y closest to x; realizes the quotient distance."""
     return optimal_rotation(x, y) @ y
 
-
-def read_landmarks(path) -> np.ndarray:
-    """Load a landmark CSV (one row per landmark, m columns, no header)
-    and return the m-by-k matrix. An empty file and non-finite values are
-    rejected."""
-    with io_failure(path), warnings.catch_warnings():
-        # loadtxt warns on a file without rows; that is the ValueError below
-        warnings.simplefilter("ignore", UserWarning)
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
-        if not rows.size:
-            raise ValueError("no landmarks")
-        if not np.isfinite(rows).all():
-            raise ValueError("non-finite value")
-    return rows.T

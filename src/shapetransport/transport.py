@@ -30,6 +30,11 @@ SCHEMES = {
 METHODS = (*SCHEMES, "pole")
 
 
+def _is_count(value) -> bool:
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TransportProblem:
     """Transport the horizontal vector v along the geodesic t -> exp(x, t w),
@@ -44,9 +49,8 @@ class TransportProblem:
     n: int
 
     def __post_init__(self):
-        n = self.n
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"step count must be an integer >= 1: {n!r}")
+        if not _is_count(self.n) or self.n < 1:
+            raise ValueError(f"step count must be an integer >= 1: {self.n!r}")
         arrays = [np.asarray(a) for a in (self.x, self.w, self.v)]
         if any(a.dtype.kind not in "iuf" for a in arrays):
             raise ValueError("x, w and v need real entries: "
@@ -236,8 +240,10 @@ def transport_integrated(problem: TransportProblem,
 
 def ladder_scale(n: int, alpha: float) -> float:
     """The pole ladder's scale n^alpha at n rungs. Raises ValueError unless
-    alpha is finite and >= 1 and n^alpha is a finite float."""
-    if 1.0 <= alpha < math.inf:
+    alpha is a real number (a Python or numpy integer or float, not a
+    bool), finite and >= 1, and n^alpha is a finite float."""
+    real = _is_count(alpha) or isinstance(alpha, (float, np.floating))
+    if real and 1.0 <= alpha < math.inf:
         try:
             return math.pow(n, alpha)
         except OverflowError:

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from shapetransport import bench, preshape, transport
 from shapetransport.errors import InsufficientData, RankDeficient
@@ -69,6 +72,10 @@ class TestConfigValidation:
         dict(seed=False),
         dict(seed=True),
         dict(step_counts=(True, 20)),
+        # and an alpha that is not a real number
+        dict(alpha=True),
+        dict(alpha="2"),
+        dict(alpha=None),
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -176,6 +183,29 @@ class TestEstimateOrder:
         assert -1.2 <= bench.median_trial_slope(small_records, "euler") <= -0.8
 
 
+class TestRecord:
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param(("rk9", 10, 0, 1e-3), "unknown method 'rk9'",
+                     id="unknown-method"),
+        pytest.param(("rk4", 0, 0, 1e-3), "step count must be >= 1: 0",
+                     id="zero-steps"),
+        pytest.param(("rk4", True, 0, 1e-3), "step count must be >= 1: True",
+                     id="bool-steps"),
+        pytest.param(("rk4", 2.5, 0, 1e-3), "step count must be >= 1: 2.5",
+                     id="float-steps"),
+        pytest.param(("rk4", 10, 0, -1e-3), "error must be >= 0: -0.001",
+                     id="negative-error"),
+    ])
+    def test_bad_record_rejected(self, fields, message):
+        # read_csv refuses each of these, so write_csv must never see one
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bench.ConvergenceRecord(*fields, 3, 4, 0)
+
+    def test_numpy_step_count_accepted(self):
+        record = bench.ConvergenceRecord("rk4", np.int64(10), 0, 1e-3, 3, 4, 0)
+        assert record.n == 10
+
+
 class TestCsv:
     def test_single_record_layout(self, tmp_path):
         record = bench.ConvergenceRecord("euler", 10, 0, 0.125, 3, 4, 0)
@@ -196,12 +226,32 @@ class TestCsv:
     def test_round_trip(self, small_records, tmp_path):
         path = tmp_path / "r.csv"
         bench.write_csv(small_records, path)
-        back = bench.read_csv(path)
-        assert len(back) == len(small_records)
-        for a, b in zip(back, small_records):
-            assert (a.method, a.n, a.trial, a.m, a.k, a.seed) == \
-                   (b.method, b.n, b.trial, b.m, b.k, b.seed)
-            assert math.isclose(a.error, b.error, rel_tol=1e-15)
+        # 17 significant digits give every float back exactly
+        assert bench.read_csv(path) == small_records
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(method=st.sampled_from(transport.METHODS),
+           n=st.integers(min_value=1), trial=st.integers(),
+           error=st.floats(min_value=0.0) | st.just(math.nan),
+           m=st.integers(), k=st.integers(), seed=st.integers())
+    @example("rk4", 1, 0, 0.0, 3, 4, 0)
+    @example("rk4", 1, 0, 5e-324, 3, 4, 0)
+    @example("rk4", 1, 0, sys.float_info.max, 3, 4, 0)
+    @example("rk4", 1, 0, math.inf, 3, 4, 0)
+    @example("rk4", 1, 0, math.nan, 3, 4, 0)
+    def test_every_valid_record_round_trips(self, tmp_path, method, n, trial,
+                                            error, m, k, seed):
+        record = bench.ConvergenceRecord(method, n, trial, error, m, k, seed)
+        path = tmp_path / "r.csv"
+        bench.write_csv([record], path)
+        [back] = bench.read_csv(path)
+        if math.isnan(error):
+            # nan != nan: the other fields must match with back's own nan
+            assert back.failed and math.isnan(back.error)
+            record = dataclasses.replace(record, error=back.error)
+        assert back == record
 
     def test_failed_record_round_trips_as_nan(self, tmp_path):
         record = bench.ConvergenceRecord("pole", 10, 0, math.nan, 3, 4, 0)

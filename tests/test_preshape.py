@@ -255,10 +255,3 @@ class TestAlign:
             r = random_rotation(rng, 3)
             assert d_opt <= preshape.dist(x, r @ y) + 1e-12
 
-
-class TestLandmarkIo:
-    def test_round_trip(self, rng, tmp_path):
-        x = rng.standard_normal((3, 5))
-        path = tmp_path / "landmarks.csv"
-        np.savetxt(path, x.T, delimiter=",")
-        assert np.allclose(preshape.read_landmarks(path), x, atol=1e-12)

@@ -634,13 +634,23 @@ class TestPoleLadder:
         assert np.linalg.norm(result.transported) < 1e-12
 
     def test_alpha_below_one_rejected(self):
-        # and an alpha that is not finite, whose scale n^alpha is inf or nan
-        for alpha in (0.5, np.nan, np.inf):
+        # and an alpha that is not finite, whose scale n^alpha is inf or nan,
+        # or not a real number: a bool is no more an alpha than a count
+        for alpha in (0.5, np.nan, np.inf, True, np.True_, "2", None, 2j):
             with pytest.raises(ValueError, match="alpha"):
                 transport.pole_ladder(make_problem(6), alpha=alpha)
         # and one whose scale n^alpha = 100^200 overflows a float
         with pytest.raises(ValueError, match="alpha"):
             transport.pole_ladder(make_problem(6, n=100), alpha=200)
+
+    @pytest.mark.parametrize("alpha", [
+        2, 2.0, np.int64(2), np.int32(2), np.float64(2.0), np.float32(2.0)])
+    def test_python_and_numpy_alphas_accepted(self, alpha):
+        problem = make_problem(6, n=7)
+        assert transport.ladder_scale(7, alpha) == 49.0
+        assert np.array_equal(
+            transport.transport(problem, "pole", alpha=alpha).transported,
+            transport.pole_ladder(problem, alpha=2.0).transported)
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_planar_shapes_exact_in_one_step(self, k):

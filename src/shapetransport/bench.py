@@ -74,7 +74,8 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ConvergenceRecord:
     """One benchmark CSV row; `failed` (a nan or inf error) is derived. Raises
-    ValueError on a method not in METHODS, n not a count >= 1 or error < 0."""
+    ValueError on a method not in METHODS, n not a count >= 1, trial, m or
+    k not a count, seed not a count >= 0, or error not a real number >= 0."""
 
     method: str
     n: int
@@ -89,6 +90,14 @@ class ConvergenceRecord:
             raise ValueError(f"unknown method {self.method!r}")
         if not transport._is_count(self.n) or self.n < 1:
             raise ValueError(f"step count must be >= 1: {self.n!r}")
+        counts = (self.trial, self.m, self.k)
+        if not all(map(transport._is_count, counts)):
+            raise ValueError(f"trial, m and k must be integers: {counts!r}")
+        if not transport._is_count(self.seed) or self.seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer: {self.seed!r}")
+        if not transport._is_real(self.error):
+            raise ValueError(f"error must be a real number: {self.error!r}")
         if self.error < 0:
             raise ValueError(f"error must be >= 0: {self.error}")
 

@@ -4,7 +4,8 @@ Symmetric-coefficient skew Sylvester solver and the SVD-based optimal
 rotation (rotation-only Procrustes). Design envelope is m <= 10. The
 Sylvester solvers take stacks (..., m, k) of right-hand sides and of
 points; stacked products are plain broadcasting `@`, with no reshaping
-helper.
+helper. Single 2-D inputs take `ndarray.dot` and `.T` instead: the same
+products in the same order, so the same bits, with less call overhead.
 """
 
 import numpy as np
@@ -39,7 +40,8 @@ def solve_skew_sylvester(sym: np.ndarray, rhs_skew: np.ndarray) -> np.ndarray:
     eigenbasis of S: with S = U diag(lam) U^T, the transformed solution has
     entries B~_ij / (lam_i + lam_j) off the diagonal and zeros on it.
     Raises RankDeficient when the rank of S (of any S in a stack), by
-    `eigenvalue_rank`, is below max(m - 1, 1).
+    `eigenvalue_rank`, is below max(m - 1, 1). One 2-D S with one 2-D B
+    computes the stacked formula's products with `dot`, bit for bit.
     """
     lam, u = np.linalg.eigh(sym)
     m = lam.shape[-1]
@@ -52,6 +54,9 @@ def solve_skew_sylvester(sym: np.ndarray, rhs_skew: np.ndarray) -> np.ndarray:
     denom = lam[..., None] + lam[..., None, :]
     # the solution's diagonal is 0
     denom.reshape(-1, m * m)[:, ::m + 1] = np.inf
+    if rhs_skew.ndim == u.ndim == 2:
+        a = u.dot(u.T.dot(rhs_skew).dot(u) / denom).dot(u.T)
+        return 0.5 * (a - a.T)
     ut = u.swapaxes(-1, -2)
     a = u @ (ut @ rhs_skew @ u / denom) @ ut
     return 0.5 * (a - a.swapaxes(-1, -2))
@@ -64,6 +69,9 @@ def solve_sylvester_skew(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     either may be a stack (..., m, k), and the result has the broadcast
     shape of the two stacks.
     """
+    if x.ndim == w.ndim == 2:
+        wx = w.dot(x.T)
+        return solve_skew_sylvester(x.dot(x.T), wx - wx.T)
     xt = x.swapaxes(-1, -2)
     wx = w @ xt
     return solve_skew_sylvester(x @ xt, wx - wx.swapaxes(-1, -2))

@@ -35,6 +35,11 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A count or a Python or numpy float."""
+    return _is_count(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass(frozen=True)
 class TransportProblem:
     """Transport the horizontal vector v along the geodesic t -> exp(x, t w),
@@ -97,8 +102,14 @@ def transport_ode_rhs(gamma: np.ndarray, gamma_dot: np.ndarray,
 
     ``v`` may be a stack (..., m, k) of vectors, and (gamma, gamma') a
     stack of states; the stacks broadcast, and the vectors stacked against
-    one state share its Sylvester eigenbasis.
+    one state share its Sylvester eigenbasis. One vector at one state, as
+    _integrate steps it, takes `dot` and `.T` for the same products in the
+    same order, bit for bit.
     """
+    if v.ndim == gamma.ndim == gamma_dot.ndim == 2:
+        v_gd = v.dot(gamma_dot.T)
+        a = solve_skew_sylvester(gamma.dot(gamma.T), v_gd.T - v_gd)
+        return a.dot(gamma) - np.einsum("ij,ij->", v, gamma_dot) * gamma
     v_gd = v @ gamma_dot.swapaxes(-1, -2)
     a = solve_skew_sylvester(gamma @ gamma.swapaxes(-1, -2),
                              v_gd.swapaxes(-1, -2) - v_gd)
@@ -242,8 +253,7 @@ def ladder_scale(n: int, alpha: float) -> float:
     """The pole ladder's scale n^alpha at n rungs. Raises ValueError unless
     alpha is a real number (a Python or numpy integer or float, not a
     bool), finite and >= 1, and n^alpha is a finite float."""
-    real = _is_count(alpha) or isinstance(alpha, (float, np.floating))
-    if real and 1.0 <= alpha < math.inf:
+    if _is_real(alpha) and 1.0 <= alpha < math.inf:
         try:
             return math.pow(n, alpha)
         except OverflowError:

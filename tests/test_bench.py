@@ -185,21 +185,40 @@ class TestEstimateOrder:
 
 class TestRecord:
     @pytest.mark.parametrize("fields, message", [
-        pytest.param(("rk9", 10, 0, 1e-3), "unknown method 'rk9'",
+        pytest.param(("rk9", 10, 0, 1e-3, 3, 4, 0), "unknown method 'rk9'",
                      id="unknown-method"),
-        pytest.param(("rk4", 0, 0, 1e-3), "step count must be >= 1: 0",
-                     id="zero-steps"),
-        pytest.param(("rk4", True, 0, 1e-3), "step count must be >= 1: True",
-                     id="bool-steps"),
-        pytest.param(("rk4", 2.5, 0, 1e-3), "step count must be >= 1: 2.5",
-                     id="float-steps"),
-        pytest.param(("rk4", 10, 0, -1e-3), "error must be >= 0: -0.001",
-                     id="negative-error"),
+        pytest.param(("rk4", 0, 0, 1e-3, 3, 4, 0),
+                     "step count must be >= 1: 0", id="zero-steps"),
+        pytest.param(("rk4", True, 0, 1e-3, 3, 4, 0),
+                     "step count must be >= 1: True", id="bool-steps"),
+        pytest.param(("rk4", 2.5, 0, 1e-3, 3, 4, 0),
+                     "step count must be >= 1: 2.5", id="float-steps"),
+        pytest.param(("rk4", 10, 0, -1e-3, 3, 4, 0),
+                     "error must be >= 0: -0.001", id="negative-error"),
+        pytest.param(("rk4", 10, True, 0.1, 3, 4, 0),
+                     "trial, m and k must be integers: (True, 3, 4)",
+                     id="bool-trial"),
+        pytest.param(("rk4", 10, 0, 0.1, 1.5, 4, 0),
+                     "trial, m and k must be integers: (0, 1.5, 4)",
+                     id="float-m"),
+        pytest.param(("rk4", 10, 0, 0.1, 3, None, 0),
+                     "trial, m and k must be integers: (0, 3, None)",
+                     id="none-k"),
+        pytest.param(("rk4", 10, 0, 0.1, 3, 4, -3),
+                     "seed must be a non-negative integer: -3",
+                     id="negative-seed"),
+        pytest.param(("rk4", 10, 0, 0.1, 3, 4, 1.0),
+                     "seed must be a non-negative integer: 1.0",
+                     id="float-seed"),
+        pytest.param(("rk4", 10, 0, None, 3, 4, 0),
+                     "error must be a real number: None", id="none-error"),
+        pytest.param(("rk4", 10, 0, "0.1", 3, 4, 0),
+                     "error must be a real number: '0.1'", id="string-error"),
     ])
     def test_bad_record_rejected(self, fields, message):
         # read_csv refuses each of these, so write_csv must never see one
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            bench.ConvergenceRecord(*fields, 3, 4, 0)
+            bench.ConvergenceRecord(*fields)
 
     def test_numpy_step_count_accepted(self):
         record = bench.ConvergenceRecord("rk4", np.int64(10), 0, 1e-3, 3, 4, 0)
@@ -235,7 +254,7 @@ class TestCsv:
     @given(method=st.sampled_from(transport.METHODS),
            n=st.integers(min_value=1), trial=st.integers(),
            error=st.floats(min_value=0.0) | st.just(math.nan),
-           m=st.integers(), k=st.integers(), seed=st.integers())
+           m=st.integers(), k=st.integers(), seed=st.integers(min_value=0))
     @example("rk4", 1, 0, 0.0, 3, 4, 0)
     @example("rk4", 1, 0, 5e-324, 3, 4, 0)
     @example("rk4", 1, 0, sys.float_info.max, 3, 4, 0)

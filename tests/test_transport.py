@@ -291,6 +291,69 @@ class TestStackedKernels:
         assert np.abs(points - looped).max() <= 1e-14
 
 
+class TestSingleVectorKernels:
+    """One state and one vector take ndarray.dot and .T instead of the
+    broadcasting @: the bits, sign bits included, are those of the textbook
+    formula, and the rank test refuses the same S either way."""
+
+    @staticmethod
+    def textbook_solve(sym, rhs):
+        lam, u = np.linalg.eigh(sym)
+        denom = lam[:, None] + lam[None, :]
+        np.fill_diagonal(denom, np.inf)
+        a = u @ (u.T @ rhs @ u / denom) @ u.T
+        return 0.5 * (a - a.T)
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("m, r", [(2, 3), (3, 4), (3, 6), (5, 8)])
+    def test_solve_is_the_textbook_formula(self, rng, m, r):
+        for _ in range(20):
+            gamma = rng.standard_normal((m, r))
+            b = rng.standard_normal((m, m))
+            sym, rhs = gamma @ gamma.T, b - b.T
+            self.assert_same_bits(linalg.solve_skew_sylvester(sym, rhs),
+                                  self.textbook_solve(sym, rhs))
+
+    @pytest.mark.parametrize("m, r", [(2, 3), (3, 4), (3, 6), (5, 8)])
+    def test_rhs_is_the_textbook_formula(self, rng, m, r):
+        for _ in range(20):
+            gamma, gamma_dot, v = rng.standard_normal((3, m, r))
+            vg = v @ gamma_dot.T
+            a = self.textbook_solve(gamma @ gamma.T, vg.T - vg)
+            expected = a @ gamma - np.einsum("ij,ij->", v, gamma_dot) * gamma
+            self.assert_same_bits(
+                transport.transport_ode_rhs(gamma, gamma_dot, v), expected)
+
+    @pytest.mark.parametrize("lam, raised", [
+        pytest.param((0.0, 1.01 * linalg.RANK_RTOL, 1.0), None,
+                     id="just-above-rtol"),
+        pytest.param((0.0, 0.99 * linalg.RANK_RTOL, 1.0), RankDeficient,
+                     id="just-below-rtol"),
+        pytest.param((0.0, 0.0, 0.0), RankDeficient, id="zero"),
+        pytest.param((-2.0, -1.0, -0.5), RankDeficient, id="negative"),
+        # eigh refuses a NaN matrix before the rank test sees it
+        pytest.param((0.0, np.nan, 1.0), np.linalg.LinAlgError, id="nan"),
+    ])
+    def test_rank_test_is_the_same_for_one_and_a_stack(self, lam, raised):
+        q = random_rotation(np.random.default_rng(3), 3)
+        sym = q @ np.diag(lam) @ q.T
+        b = np.random.default_rng(4).standard_normal((3, 3))
+        outcomes = []
+        for s, rhs in ((sym, b - b.T), (sym[None], b - b.T),
+                       (sym, (b - b.T)[None]), (sym[None], (b - b.T)[None])):
+            try:
+                linalg.solve_skew_sylvester(s, rhs)
+            except (RankDeficient, np.linalg.LinAlgError) as err:
+                outcomes.append(type(err))
+            else:
+                outcomes.append(None)
+        assert outcomes == [raised] * 4
+
+
 class TestOperator:
     def test_pole_has_no_operator(self):
         # the span operator is built only for the integrated schemes

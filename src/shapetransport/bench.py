@@ -42,7 +42,11 @@ class ExperimentConfig:
     trials: int = 10
 
     def __post_init__(self):
-        steps, methods = tuple(self.step_counts), tuple(self.methods)
+        try:
+            steps, methods = tuple(self.step_counts), tuple(self.methods)
+        except TypeError as err:
+            raise ValueError("step counts and methods must be iterables: "
+                             f"{err}") from None
         object.__setattr__(self, "step_counts", steps)
         object.__setattr__(self, "methods", methods)
         counts = (self.m, self.k, self.n_ref, self.trials, *steps)

@@ -1,11 +1,12 @@
 """Small dense linear-algebra kernels.
 
 Symmetric-coefficient skew Sylvester solver and the SVD-based optimal
-rotation (rotation-only Procrustes). Design envelope is m <= 10. The
-Sylvester solvers take stacks (..., m, k) of right-hand sides and of
-points; stacked products are plain broadcasting `@`, with no reshaping
-helper. Single 2-D inputs take `ndarray.dot` and `.T` instead: the same
-products in the same order, so the same bits, with less call overhead.
+rotation (rotation-only Procrustes). Design envelope is m <= 10. Every
+kernel under the transport stepper takes stacks (..., m, k) through plain
+broadcasting `@`; a 2-D input is a stack of none. Only
+`solve_skew_sylvester` and `transport.transport_ode_rhs`, which carry the
+26 360 right-hand sides of a default benchmark trial, add a 2-D branch:
+`dot` and `.T`, the same products in the same order, so the same bits.
 """
 
 import numpy as np
@@ -67,11 +68,8 @@ def solve_sylvester_skew(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     ``x`` is an m-by-k pre-shape of rank >= m-1 and ``w`` any m-by-k matrix;
     either may be a stack (..., m, k), and the result has the broadcast
-    shape of the two stacks.
-    """
-    if x.ndim == w.ndim == 2:
-        wx = w.dot(x.T)
-        return solve_skew_sylvester(x.dot(x.T), wx - wx.T)
+    shape of the two stacks. Stacked code only (2-D inputs reach the
+    2-D branch of `solve_skew_sylvester`)."""
     xt = x.swapaxes(-1, -2)
     wx = w @ xt
     return solve_skew_sylvester(x @ xt, wx - wx.swapaxes(-1, -2))

@@ -61,9 +61,7 @@ def configuration_rank(x: np.ndarray) -> int:
 
 
 def remove_radial(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w minus its component along the unit-norm x."""
-    if w.ndim == x.ndim == 2:
-        return w - (w * x).sum() * x
+    """w minus its component along the unit-norm x; stacked code only."""
     return w - (w * x).sum(axis=(-2, -1), keepdims=True) * x
 
 
@@ -115,9 +113,8 @@ def dist(x: np.ndarray, y: np.ndarray) -> float:
 
 def vertical_projection(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Component of w along the rotation fiber: A x with A from the
-    Sylvester equation A(xx^T) + (xx^T)A = wx^T - xw^T."""
-    a = solve_sylvester_skew(x, w)
-    return a.dot(x) if a.ndim == 2 else a @ x
+    Sylvester equation A(xx^T) + (xx^T)A = wx^T - xw^T; stacked code only."""
+    return solve_sylvester_skew(x, w) @ x
 
 
 def horizontal_projection(x: np.ndarray, w: np.ndarray) -> np.ndarray:

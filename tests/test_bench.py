@@ -76,6 +76,9 @@ class TestConfigValidation:
         dict(alpha=True),
         dict(alpha="2"),
         dict(alpha=None),
+        # and a field that should be iterable but is not
+        dict(step_counts=10),
+        dict(methods=5),
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -247,6 +247,26 @@ class TestIntegratedSchemes:
                                       tol=1e-8)
 
 
+def _t(a):
+    return np.swapaxes(a, -1, -2)
+
+
+# The stacked kernels as functions of a state (gamma, gamma') and a vector.
+KERNELS = {
+    "transport_ode_rhs": transport.transport_ode_rhs,
+    "solve_skew_sylvester": lambda g, d, v:
+        linalg.solve_skew_sylvester(g @ _t(g), v @ _t(g) - g @ _t(v)),
+    "solve_sylvester_skew": lambda g, d, v:
+        linalg.solve_sylvester_skew(g, v),
+    "remove_radial": lambda g, d, v: preshape.remove_radial(g, v),
+    "to_tangent": lambda g, d, v: preshape.to_tangent(g, v),
+    "vertical_projection": lambda g, d, v:
+        preshape.vertical_projection(g, v),
+    "horizontal_projection": lambda g, d, v:
+        preshape.horizontal_projection(g, v),
+}
+
+
 class TestStackedKernels:
     """A stack (..., m, k) of vectors, at one point or against a stack of
     points, gives what a loop over the points and vectors gives."""
@@ -256,22 +276,7 @@ class TestStackedKernels:
         "remove_radial", "to_tangent", "vertical_projection",
         "horizontal_projection"])
     def test_stack_matches_a_loop(self, rng, kernel):
-        def t(a):
-            return np.swapaxes(a, -1, -2)
-
-        f = {
-            "transport_ode_rhs": transport.transport_ode_rhs,
-            "solve_skew_sylvester": lambda g, d, v:
-                linalg.solve_skew_sylvester(g @ t(g), v @ t(g) - g @ t(v)),
-            "solve_sylvester_skew": lambda g, d, v:
-                linalg.solve_sylvester_skew(g, v),
-            "remove_radial": lambda g, d, v: preshape.remove_radial(g, v),
-            "to_tangent": lambda g, d, v: preshape.to_tangent(g, v),
-            "vertical_projection": lambda g, d, v:
-                preshape.vertical_projection(g, v),
-            "horizontal_projection": lambda g, d, v:
-                preshape.horizontal_projection(g, v),
-        }[kernel]
+        f = KERNELS[kernel]
         # states on two geodesics, each against a row of four vectors
         states = []
         for s in (0.4, 0.9):
@@ -292,9 +297,10 @@ class TestStackedKernels:
 
 
 class TestSingleVectorKernels:
-    """One state and one vector take ndarray.dot and .T instead of the
-    broadcasting @: the bits, sign bits included, are those of the textbook
-    formula, and the rank test refuses the same S either way."""
+    """One state and one vector give the bits, sign bits included, of the
+    one-element stack. The two kernels with a 2-D branch,
+    `solve_skew_sylvester` and `transport_ode_rhs`, give those of the
+    textbook formula, and the rank test refuses the same S either way."""
 
     @staticmethod
     def textbook_solve(sym, rhs):
@@ -308,6 +314,19 @@ class TestSingleVectorKernels:
     def assert_same_bits(a, b):
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("m, k", [(2, 3), (3, 4), (3, 6), (5, 8)])
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_one_vector_is_the_one_element_stack(self, rng, kernel, m, k):
+        f = KERNELS[kernel]
+        for _ in range(10):
+            x = random_preshape(rng, m, k)
+            g, d = transport.geodesic_state(x, random_horizontal(rng, x),
+                                            rng.uniform())
+            v = rng.standard_normal((m, k))
+            one = f(g, d, v)
+            self.assert_same_bits(one, f(g, d, v[None])[0])
+            self.assert_same_bits(one, f(g[None], d[None], v[None])[0])
 
     @pytest.mark.parametrize("m, r", [(2, 3), (3, 4), (3, 6), (5, 8)])
     def test_solve_is_the_textbook_formula(self, rng, m, r):

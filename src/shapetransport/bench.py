@@ -19,6 +19,8 @@ RNG_NAME = "numpy-pcg64"
 # Errors at or below this are considered at the floating-point floor and
 # excluded from slope fits.
 ERROR_FLOOR = 1e-13
+# The RK4 references at n_ref and 2 * n_ref must differ by less than this.
+REFERENCE_TOL = 1e-10
 
 DEFAULT_STEPS = (10, 20, 50, 100, 200, 500, 1000)
 
@@ -29,8 +31,9 @@ class ExperimentConfig:
     m, k, n_ref, trials and the step counts must be integers (not bools),
     the seed a non-negative integer, and alpha one that the pole ladder
     takes at the largest step count (`transport.ladder_scale`). Any
-    iterable of step counts or methods is kept as a tuple, so a config
-    hashes and can be run more than once."""
+    iterable of step counts or methods but a string (str, bytes or
+    bytearray) is kept as a tuple, so a config hashes and can be run more
+    than once."""
 
     m: int = 3
     k: int = 4
@@ -42,6 +45,10 @@ class ExperimentConfig:
     trials: int = 10
 
     def __post_init__(self):
+        for field in (self.step_counts, self.methods):
+            if isinstance(field, (str, bytes, bytearray)):
+                raise ValueError("step counts and methods must not be a "
+                                 f"string: {field!r}")
         try:
             steps, methods = tuple(self.step_counts), tuple(self.methods)
         except TypeError as err:
@@ -53,9 +60,8 @@ class ExperimentConfig:
         if not all(map(transport._is_count, counts)):
             raise ValueError("m, k, n_ref, trials and step counts must be "
                              f"integers: {counts!r}")
-        if not transport._is_count(self.seed) or self.seed < 0:
-            raise ValueError(
-                f"seed must be a non-negative integer: {self.seed!r}")
+        transport._require_count(self.seed, 0,
+                                 "seed must be a non-negative integer")
         # A centred configuration has rank <= k-1, and it must reach m-1.
         if self.m < 2 or self.k < max(3, self.m):
             raise ValueError("need m >= 2 and k >= max(3, m)")
@@ -92,14 +98,12 @@ class ConvergenceRecord:
     def __post_init__(self):
         if self.method not in transport.METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not transport._is_count(self.n) or self.n < 1:
-            raise ValueError(f"step count must be >= 1: {self.n!r}")
+        transport._require_count(self.n, 1, "step count must be >= 1")
         counts = (self.trial, self.m, self.k)
         if not all(map(transport._is_count, counts)):
             raise ValueError(f"trial, m and k must be integers: {counts!r}")
-        if not transport._is_count(self.seed) or self.seed < 0:
-            raise ValueError(
-                f"seed must be a non-negative integer: {self.seed!r}")
+        transport._require_count(self.seed, 0,
+                                 "seed must be a non-negative integer")
         if not transport._is_real(self.error):
             raise ValueError(f"error must be a real number: {self.error!r}")
         if self.error < 0:
@@ -142,10 +146,11 @@ def _reference(problem: transport.TransportProblem, n_ref: int) -> np.ndarray:
     ref, check = (transport.transport_integrated(replace(problem, n=n), "rk4")
                   .transported for n in (n_ref, 2 * n_ref))
     drift = float(np.linalg.norm(ref - check))
-    if drift >= 1e-10:
+    if drift >= REFERENCE_TOL:
         raise ReferenceInconsistent(
             f"RK4 references at n={n_ref} and n={2 * n_ref} differ by "
-            f"{drift:.3e}, not below the 1e-10 tolerance: n_ref is too coarse")
+            f"{drift:.3e}, not below the {REFERENCE_TOL:g} tolerance: "
+            "n_ref is too coarse")
     return ref
 
 

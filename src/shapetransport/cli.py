@@ -68,8 +68,8 @@ _DEFAULTS = bench.ExperimentConfig()
 @click.option("--ref-steps", "n_ref", type=int, default=_DEFAULTS.n_ref,
               show_default=True,
               help="Steps of the RK4 reference. The references at n_ref and "
-              "2*n_ref must agree within 1e-10, or the run fails with "
-              "exit code 3.")
+              f"2*n_ref must agree within {bench.REFERENCE_TOL:g}, or the run "
+              "fails with exit code 3.")
 @click.option("--methods", callback=_parse_methods,
               default=",".join(_DEFAULTS.methods), show_default=True)
 @click.option("--alpha", type=float, default=_DEFAULTS.alpha, show_default=True)

@@ -35,6 +35,12 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _require_count(value, low: int, message: str) -> None:
+    """Raise ValueError(f"{message}: {value!r}") unless value is a count >= low."""
+    if not _is_count(value) or value < low:
+        raise ValueError(f"{message}: {value!r}")
+
+
 def _is_real(value) -> bool:
     """A count or a Python or numpy float."""
     return _is_count(value) or isinstance(value, (float, np.floating))
@@ -54,8 +60,7 @@ class TransportProblem:
     n: int
 
     def __post_init__(self):
-        if not _is_count(self.n) or self.n < 1:
-            raise ValueError(f"step count must be an integer >= 1: {self.n!r}")
+        _require_count(self.n, 1, "step count must be an integer >= 1")
         arrays = [np.asarray(a) for a in (self.x, self.w, self.v)]
         if any(a.dtype.kind not in "iuf" for a in arrays):
             raise ValueError("x, w and v need real entries: "

@@ -101,6 +101,20 @@ class TestConfigValidation:
             step_counts=(10, 20, 50), methods=("rk4",), n_ref=200, trials=1))
         assert [r.n for r in bench.run_convergence(cfg)] == [10, 20, 50]
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(methods="rk4"),
+        dict(methods=b"rk4"),
+        dict(step_counts="10,20"),
+        # iterated, these bytes would be the valid step counts (10, 20)
+        dict(step_counts=b"\n\x14"),
+        dict(step_counts=bytearray(b"\n\x14")),
+    ])
+    def test_string_fields_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="^step counts and methods must "
+                           "not be a string: "):
+            bench.ExperimentConfig(**{"n_ref": 100, "methods": ("rk4",),
+                                      "trials": 1, **kwargs})
+
 
 class TestRunConvergence:
     def test_self_comparison_error_vanishes(self):

@@ -62,6 +62,10 @@ class TestRun:
         assert len(failures) == 1
         assert "n_ref is too coarse" in failures[0]
         assert "Traceback" not in result.output
+        # the message and the --ref-steps help read the one tolerance
+        tol = f"{bench.REFERENCE_TOL:g}"
+        assert tol in failures[0]
+        assert tol in runner.invoke(main, ["run", "--help"]).output
 
     def test_nothing_above_the_floor_to_plot_exits_3(self, runner, tmp_path):
         # RK4 at n = n_ref is the reference itself: every error is 0
